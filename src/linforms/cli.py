@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 a verification suite failed, 2 malformed
-input, 3 a capacity or node budget was exceeded.  All machine output is
+Exit codes: 0 success, 1 a verification suite failed or a scan found a
+candidate counterexample or theorem conflict, 2 malformed input, 3 a
+capacity or node budget was exceeded.  All machine output is
 JSON with integer values only, keys in a fixed order, one object per
 line for scans and cache dumps.
 """
@@ -167,7 +168,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         + ", ".join(f"{v} {k}" for k, v in counts.items() if v),
         file=sys.stderr,
     )
-    return 0
+    return 1 if counts["candidate-counterexample"] or counts["theorem-conflict"] else 0
 
 
 def cmd_cache_dump(args: argparse.Namespace) -> int:

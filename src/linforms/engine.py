@@ -39,8 +39,6 @@ number of composition vectors and {1, g, g^2, ...} witnesses it.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import (
@@ -108,14 +106,13 @@ class NfConfig:
 
     diameter None means u_total * (k - 1); ladder_max_ell caps the
     bootstrap of exact small values; witness_cap None keeps every
-    witness; threads None defers to LINFORM_THREADS / cpu count;
-    node_budget None is unlimited.
+    witness; node_budget caps the search nodes of the whole run (ladder
+    rungs and main search together), None is unlimited.
     """
 
     diameter: int | None = None
     ladder_max_ell: int = 4
     witness_cap: int | None = 64
-    threads: int | None = None
     node_budget: int | None = None
 
 
@@ -276,16 +273,8 @@ def _completion_bounds(known: dict[int, int], k: int) -> list[int]:
     return cb
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("LINFORM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+def _budget_exceeded(budget: int, nodes: int) -> BudgetExceeded:
+    return BudgetExceeded(f"node budget {budget} exhausted ({nodes} nodes)", nodes=nodes)
 
 
 def _explore_binary(
@@ -296,6 +285,7 @@ def _explore_binary(
     a1: int,
     seed: int | None,
     cb: list[int],
+    nodes: int,
     budget: int | None,
 ) -> tuple[int | None, list[tuple[int, ...]], int]:
     """DFS over canonical k-sets {0, a1, ...} for a two-variable form.
@@ -304,11 +294,13 @@ def _explore_binary(
     D1 = {u1*a} and D2 = {u2*a}, appending e updates the image M by
     M |= (D2 << u1*e) | ((D1 | bit(u1*e)) << u2*e) -- constant work per
     node instead of a full chain recompute.
+
+    nodes is the search's node count before this partition; the count
+    after it is returned.  Counting past budget raises BudgetExceeded.
     """
     gcd = math.gcd
     best = seed
     wits: list[tuple[int, ...]] = []
-    nodes = 0
 
     def rec(elems: tuple[int, ...], g: int, D1: int, D2: int, M: int, size: int, t: int) -> None:
         nonlocal best, wits, nodes
@@ -325,7 +317,7 @@ def _explore_binary(
         for e in range(last + 1, diameter - t + 2):
             nodes += 1
             if budget is not None and nodes > budget:
-                raise BudgetExceeded(f"node budget {budget} exhausted in one partition")
+                raise _budget_exceeded(budget, nodes)
             sh1 = u1 * e
             sh2 = u2 * e
             D1e = D1 | (1 << sh1)
@@ -336,6 +328,8 @@ def _explore_binary(
             rec(elems + (e,), g if g == 1 else gcd(g, e), D1e, D2 | (1 << sh2), Me, size_e, t - 1)
 
     nodes += 1
+    if budget is not None and nodes > budget:
+        raise _budget_exceeded(budget, nodes)
     D1 = 1 | (1 << (u1 * a1))
     D2 = 1 | (1 << (u2 * a1))
     M = D1 | (D1 << (u2 * a1))
@@ -360,13 +354,16 @@ def _explore_general(
     a1: int,
     seed: int | None,
     cb: list[int],
+    nodes: int,
     budget: int | None,
 ) -> tuple[int | None, list[tuple[int, ...]], int]:
-    """DFS over canonical k-sets {0, a1, ...}; image via the dilate chain."""
+    """DFS over canonical k-sets {0, a1, ...}; image via the dilate chain.
+
+    nodes and budget work as in _explore_binary.
+    """
     gcd = math.gcd
     best = seed
     wits: list[tuple[int, ...]] = []
-    nodes = 0
 
     def mask_of(elems: tuple[int, ...]) -> int:
         mask = 1
@@ -392,7 +389,7 @@ def _explore_general(
         for e in range(last + 1, diameter - t + 2):
             nodes += 1
             if budget is not None and nodes > budget:
-                raise BudgetExceeded(f"node budget {budget} exhausted in one partition")
+                raise _budget_exceeded(budget, nodes)
             child = elems + (e,)
             size_e = mask_of(child).bit_count()
             if best is not None and size_e + cbt > best:
@@ -400,6 +397,8 @@ def _explore_general(
             rec(child, g if g == 1 else gcd(g, e), size_e, t - 1)
 
     nodes += 1
+    if budget is not None and nodes > budget:
+        raise _budget_exceeded(budget, nodes)
     start = (0, a1)
     size = mask_of(start).bit_count()
     if k == 2:
@@ -433,7 +432,6 @@ def search_min(
     prune_at: int | None = None,
     known: dict[int, int] | None = None,
     witness_cap: int | None = None,
-    threads: int | None = None,
     node_budget: int | None = None,
 ) -> SearchOutcome:
     """Exhaustive minimum of |f(A)| over canonical k-sets within a diameter.
@@ -443,14 +441,16 @@ def search_min(
     with the running best are never pruned, so the witness list is the
     full set of minimizers (deduplicated under reflection, then capped).
 
-    Work is partitioned on a_1.  The a_1 = 1 partition (which contains
-    the progression {0..k-1}) runs first and its best seeds the pruning
-    of the remaining partitions, which then run independently -- the
-    result, including node counts, is identical for every worker count.
+    Work is partitioned on a_1 and runs sequentially.  The a_1 = 1
+    partition (which contains the progression {0..k-1}) runs first and
+    its best seeds the pruning of every later partition, so results and
+    node counts are deterministic.
 
     prune_at ignores any set with more values than it; if nothing at or
     under prune_at exists, best is None.  known supplies exact small
-    values for pruning (defaults to the sizes 1 and 2).
+    values for pruning (defaults to the sizes 1 and 2).  node_budget
+    caps the nodes explored: the search raises BudgetExceeded on node
+    node_budget + 1.
     """
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
@@ -460,8 +460,11 @@ def search_min(
         raise CapacityExceeded(
             f"image bitmask would need {f.u_total * diameter + 1} bits (cap {SEARCH_BITS_CAP})"
         )
+    nodes = 1  # the root {0}
+    if node_budget is not None and nodes > node_budget:
+        raise _budget_exceeded(node_budget, nodes)
     if k == 1:
-        return SearchOutcome(best=1, witnesses=(KSet((0,)),), nodes=1)
+        return SearchOutcome(best=1, witnesses=(KSet((0,)),), nodes=nodes)
     ladder = dict(known) if known else {1: 1, 2: exact_nf2(f)}
     _validate_known(ladder)
     cb = _completion_bounds(ladder, k)
@@ -469,40 +472,24 @@ def search_min(
     if f.m == 2:
         u1, u2 = f.coeffs
 
-        def explore(a1: int, seed: int | None):
-            return _explore_binary(u1, u2, k, diameter, a1, seed, cb, node_budget)
+        def explore(a1: int, seed: int | None, nodes: int):
+            return _explore_binary(u1, u2, k, diameter, a1, seed, cb, nodes, node_budget)
 
     else:
         coeffs = f.coeffs
 
-        def explore(a1: int, seed: int | None):
-            return _explore_general(coeffs, k, diameter, a1, seed, cb, node_budget)
+        def explore(a1: int, seed: int | None, nodes: int):
+            return _explore_general(coeffs, k, diameter, a1, seed, cb, nodes, node_budget)
 
-    nodes = 1  # the root {0}
-    best1, wits1, n1 = explore(1, prune_at)
-    nodes += n1
-
-    seed2 = best1 if best1 is not None else prune_at
-    rest = range(2, diameter - (k - 2) + 1)
-    outcomes: list[tuple[int | None, list[tuple[int, ...]], int]] = []
-    workers = _thread_count(threads)
-    if workers <= 1 or len(rest) <= 1:
-        for a1 in rest:
-            outcomes.append(explore(a1, seed2))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(explore, a1, seed2) for a1 in rest]
-            outcomes = [fut.result() for fut in futures]
-
+    best1, wits1, nodes = explore(1, prune_at, nodes)
     candidates: list[tuple[int, list[tuple[int, ...]]]] = []
     if best1 is not None:
         candidates.append((best1, wits1))
-    for b, w, n in outcomes:
-        nodes += n
+    seed2 = best1 if best1 is not None else prune_at
+    for a1 in range(2, diameter - (k - 2) + 1):
+        b, w, nodes = explore(a1, seed2, nodes)
         if b is not None:
             candidates.append((b, w))
-    if node_budget is not None and nodes > node_budget:
-        raise BudgetExceeded(f"node budget {node_budget} exhausted ({nodes} nodes)")
     if not candidates:
         return SearchOutcome(best=None, witnesses=(), nodes=nodes)
 
@@ -537,13 +524,18 @@ def compute_nf(f: LinearForm, k: int, config: NfConfig | None = None) -> Extrema
 
     nodes_total = 0
 
-    def remaining_budget() -> int | None:
-        if cfg.node_budget is None:
-            return None
-        left = cfg.node_budget - nodes_total
-        if left <= 0:
-            raise BudgetExceeded(f"node budget {cfg.node_budget} exhausted")
-        return left
+    def search(size: int, diam: int, witness_cap: int | None = None) -> SearchOutcome:
+        """search_min on the current ladder, charged to the run's node budget."""
+        nonlocal nodes_total
+        left = None if cfg.node_budget is None else cfg.node_budget - nodes_total
+        try:
+            out = search_min(
+                f, size, diam, known=ladder, witness_cap=witness_cap, node_budget=left
+            )
+        except BudgetExceeded as exc:
+            raise _budget_exceeded(cfg.node_budget, nodes_total + exc.nodes) from None
+        nodes_total += out.nodes
+        return out
 
     nf2 = exact_nf2(f)
     ladder: dict[int, int] = {1: 1, 2: nf2}
@@ -558,15 +550,7 @@ def compute_nf(f: LinearForm, k: int, config: NfConfig | None = None) -> Extrema
         cand = lower_certificate(f, ell, ladder)
         if ell == 3 and binary_cert is not None and binary_cert.bound >= cand.bound:
             cand = binary_cert
-        rung = search_min(
-            f,
-            ell,
-            f.u_total * (ell - 1),
-            known=ladder,
-            threads=cfg.threads,
-            node_budget=remaining_budget(),
-        )
-        nodes_total += rung.nodes
+        rung = search(ell, f.u_total * (ell - 1))
         if rung.best is None or rung.best < cand.bound:
             raise LinformsError(
                 f"internal: rung {ell} search found {rung.best} under certificate {cand.bound}"
@@ -582,16 +566,7 @@ def compute_nf(f: LinearForm, k: int, config: NfConfig | None = None) -> Extrema
         if k == 3 and binary_cert is not None and binary_cert.bound >= cert.bound:
             cert = binary_cert
 
-    out = search_min(
-        f,
-        k,
-        diameter,
-        known=ladder,
-        witness_cap=cfg.witness_cap,
-        threads=cfg.threads,
-        node_budget=remaining_budget(),
-    )
-    nodes_total += out.nodes
+    out = search(k, diameter, cfg.witness_cap)
     if out.best is None or out.best < cert.bound:
         raise LinformsError(
             f"internal: search found {out.best} under certificate {cert.bound} for {f}, k={k}"
@@ -632,16 +607,14 @@ def compute_mf(f: LinearForm, k: int) -> MaxResult:
     return MaxResult(value=len(vectors), witness=witness, base=g)
 
 
-def enumerate_minimizers(
-    f: LinearForm, k: int, diameter: int | None = None, threads: int | None = None
-) -> tuple[KSet, ...]:
+def enumerate_minimizers(f: LinearForm, k: int, diameter: int | None = None) -> tuple[KSet, ...]:
     """Every canonical minimizing k-set within the diameter, up to reflection.
 
     Only meaningful when the minimum is certified exact; otherwise the
     listed sets might not be true minimizers, so NotCertifiedExact is
     raised.  The witness list is uncapped.
     """
-    res = compute_nf(f, k, NfConfig(diameter=diameter, witness_cap=None, threads=threads))
+    res = compute_nf(f, k, NfConfig(diameter=diameter, witness_cap=None))
     if not res.exact:
         raise NotCertifiedExact(
             f"bracket [{res.lower}, {res.best}] is open for {f}, k={k}, "

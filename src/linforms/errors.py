@@ -83,7 +83,14 @@ class CapacityExceeded(ResourceError):
 
 
 class BudgetExceeded(ResourceError):
-    """A verification or scan run would exceed its instance budget."""
+    """A search, verification or scan run would exceed its budget.
+
+    nodes is set when a search node budget ran out: the nodes explored.
+    """
+
+    def __init__(self, message: str, nodes: int | None = None):
+        super().__init__(message)
+        self.nodes = nodes
 
 
 class ValueOverflow(ResourceError):

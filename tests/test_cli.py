@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -225,6 +226,23 @@ class TestCliScan:
             f["status"] in {"consistent", "inconclusive"} for f in findings
         )
         assert "scan done" in err
+
+    @pytest.mark.parametrize("status", ["candidate-counterexample", "theorem-conflict"])
+    def test_alarming_finding_exit_1(self, capsys, monkeypatch, status):
+        from linforms import cli as cli_mod
+
+        real = cli_mod.scan_completeness_converse
+
+        def fake(m, max_coeff, k, diameter=None):
+            return [dataclasses.replace(x, status=status) for x in real(m, max_coeff, k, diameter)]
+
+        monkeypatch.setattr(cli_mod, "scan_completeness_converse", fake)
+        code, out, err = run(
+            capsys, "scan", "--problem", "completeness", "--max-m", "2", "--max-k", "2"
+        )
+        assert code == 1
+        assert out and all(json.loads(line)["status"] == status for line in out.splitlines())
+        assert status in err
 
     def test_deterministic(self, capsys):
         args = ("scan", "--max-m", "2", "--max-coeff", "5", "--max-k", "3")

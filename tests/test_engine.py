@@ -182,14 +182,14 @@ class TestSearchMin:
         assert out.witness_overflow
 
     def test_budget_exceeded(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded) as info:
             search_min(LinearForm((1, 3)), 4, 12, node_budget=5)
+        assert info.value.nodes == 6
 
-    def test_thread_counts_identical(self):
-        runs = [
-            search_min(LinearForm((1, 2, 3)), 4, 12, threads=n) for n in (1, 2, 8)
-        ]
+    def test_repeated_runs_identical(self):
+        runs = [search_min(LinearForm((1, 2, 3)), 4, 12) for _ in range(3)]
         assert runs[0] == runs[1] == runs[2]
+        assert runs[0].nodes == 96
 
     def test_matches_oracle_sweep(self):
         for f in enumerate_normalized(2, 4):
@@ -272,12 +272,37 @@ class TestComputeNf:
         assert out["witnesses"] == [[0, 1, 3], [0, 1, 4]]
         assert out["certificate"]["lambda"] == 8
 
-    def test_determinism_across_threads(self):
-        outs = [
-            compute_nf(LinearForm((1, 2, 4)), 4, NfConfig(threads=n)).to_json()
-            for n in (1, 2, 8)
-        ]
+    def test_deterministic_across_runs(self):
+        outs = [compute_nf(LinearForm((1, 2, 4)), 4).to_json() for _ in range(3)]
         assert outs[0] == outs[1] == outs[2]
+        assert outs[0]["nodes"] == 415
+
+    def test_budget_counts_whole_run(self):
+        # Rungs and every a1-partition draw on one countdown, so the run
+        # stops on node budget + 1 instead of finishing each partition.
+        with pytest.raises(BudgetExceeded) as info:
+            compute_nf(LinearForm((2, 5)), 7, NfConfig(node_budget=300_000))
+        assert info.value.nodes <= 300_001
+        assert str(info.value) == f"node budget 300000 exhausted ({info.value.nodes} nodes)"
+
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=3)
+        .map(lambda c: tuple(sorted(c)))
+        .filter(lambda t: math.gcd(*t) == 1),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=0, max_value=2000),
+    )
+    def test_budget_bounds_nodes(self, coeffs, k, budget):
+        f = LinearForm(coeffs)
+        free = compute_nf(f, k)
+        try:
+            res = compute_nf(f, k, NfConfig(node_budget=budget))
+        except BudgetExceeded as exc:
+            assert free.nodes_explored > budget
+            assert exc.nodes <= budget + 1
+        else:
+            assert res.nodes_explored <= budget
+            assert res == free
 
 
 class TestComputeMf:
