@@ -2,15 +2,20 @@
 
 One line per record, keyed by (coeffs, k, diameter).  Appends take an
 advisory exclusive lock so concurrent runs interleave whole lines;
-lookups replay the file and let the latest record for a key win.
-Corrupt lines are skipped with a warning on stderr: an interrupted
-append must never poison earlier results.
+lookups let the latest record for a key win and skip records written
+by another tool version.  Corrupt lines are skipped with a warning on
+stderr: an interrupted append must never poison earlier results.
+
+Each process indexes a file once and reads it again only when its
+device, inode, size or modification time changes, whether through an
+append of its own, another writer or a truncation.
 """
 
 from __future__ import annotations
 
 import fcntl
 import json
+import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -20,6 +25,8 @@ from . import __version__
 from .engine import ExtremalResult
 
 _FIELDS = ("coeffs", "k", "diameter", "lower", "best", "exact", "witnesses", "timestamp", "tool_version")
+
+CacheKey = tuple[tuple[int, ...], int, int]
 
 
 @dataclass(frozen=True)
@@ -37,7 +44,7 @@ class CacheRecord:
     tool_version: str
 
     @property
-    def key(self) -> tuple[tuple[int, ...], int, int]:
+    def key(self) -> CacheKey:
         return (self.coeffs, self.k, self.diameter)
 
     def to_json(self) -> dict:
@@ -118,12 +125,24 @@ def load_records(path: str | Path) -> list[CacheRecord]:
     return records
 
 
+# path -> (file stamp when read, latest current-version record per key)
+_indexes: dict[str, tuple[tuple[int, int, int, int], dict[CacheKey, CacheRecord]]] = {}
+
+
 def lookup(
     path: str | Path, coeffs: tuple[int, ...], k: int, diameter: int
 ) -> CacheRecord | None:
-    """Latest cached record for (coeffs, k, diameter), if any."""
-    hit = None
-    for rec in load_records(path):
-        if rec.key == (coeffs, k, diameter):
-            hit = rec
-    return hit
+    """Latest record for (coeffs, k, diameter) written by this version, if any."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        return None
+    stamp = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+    name = os.fspath(path)
+    entry = _indexes.get(name)
+    if entry is None or entry[0] != stamp:
+        # Stamped before reading: a write racing the read changes the
+        # stamp, so the next lookup reads the file again.
+        index = {rec.key: rec for rec in load_records(path) if rec.tool_version == __version__}
+        entry = _indexes[name] = (stamp, index)
+    return entry[1].get((coeffs, k, diameter))

@@ -10,6 +10,7 @@ line for scans and cache dumps.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -177,7 +178,9 @@ def cmd_cache_dump(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after."""
     parser = argparse.ArgumentParser(
         prog="linforms",
         description="exact extremes of |f(A)| for positive integer linear forms",

@@ -39,6 +39,7 @@ number of composition vectors and {1, g, g^2, ...} witnesses it.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 from .errors import (
@@ -54,10 +55,20 @@ from .errors import (
     NotCoprime,
 )
 from .forms import LinearForm, subset_sums
-from .sets import KSet, composition_vectors, image
+from .sets import KSet, checked_elems, composition_vectors
+from .sets import image  # noqa: F401  (bench/test_smoke.py traces engine.image)
 
 #: Search bitmasks may span at most this many bits (u_total * diameter).
 SEARCH_BITS_CAP = 10**7
+
+#: search_min keeps at most this many results in memory; the oldest goes first.
+SEARCH_MEMO_ENTRIES = 4096
+
+# (coeffs, k, diameter, prune_at, ladder items) -> (best, every
+# reflection-deduplicated witness, nodes) of a search that completed.
+# The lock serialises eviction and insertion between caller threads.
+_search_memo: dict[tuple, tuple[int | None, tuple[KSet, ...], int]] = {}
+_search_memo_lock = threading.Lock()
 
 KIND_TRIVIAL = "trivial-k1"
 KIND_NF2 = "nf2-subset-sums"
@@ -424,6 +435,12 @@ def _reflection_reps(raw: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     return sorted(reps)
 
 
+def clear_search_memo() -> None:
+    """Forget every search result remembered by search_min."""
+    with _search_memo_lock:
+        _search_memo.clear()
+
+
 def search_min(
     f: LinearForm,
     k: int,
@@ -451,6 +468,14 @@ def search_min(
     values for pruning (defaults to the sizes 1 and 2).  node_budget
     caps the nodes explored: the search raises BudgetExceeded on node
     node_budget + 1.
+
+    Completed searches are remembered per process, keyed by every input
+    that changes the outcome (coeffs, k, diameter, prune_at and the
+    ladder), up to SEARCH_MEMO_ENTRIES results.  A repeated search is
+    answered from memory with the same outcome, node count included:
+    the witness cap is applied on return, and a remembered count over
+    node_budget raises exactly as the search would, on node
+    node_budget + 1.  clear_search_memo() forgets every result.
     """
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
@@ -466,7 +491,33 @@ def search_min(
     if k == 1:
         return SearchOutcome(best=1, witnesses=(KSet((0,)),), nodes=nodes)
     ladder = dict(known) if known else {1: 1, 2: exact_nf2(f)}
-    _validate_known(ladder)
+    memo_key = (f.coeffs, k, diameter, prune_at, tuple(_validate_known(ladder)))
+    hit = _search_memo.get(memo_key)
+    if hit is None:
+        hit = _search(f, k, diameter, prune_at, ladder, node_budget)
+        with _search_memo_lock:
+            if len(_search_memo) >= SEARCH_MEMO_ENTRIES:
+                del _search_memo[next(iter(_search_memo))]
+            _search_memo[memo_key] = hit
+    best, reps, nodes = hit
+    if node_budget is not None and nodes > node_budget:
+        raise _budget_exceeded(node_budget, node_budget + 1)
+    overflow = witness_cap is not None and len(reps) > witness_cap
+    if overflow:
+        reps = reps[:witness_cap]
+    return SearchOutcome(best=best, witnesses=reps, nodes=nodes, witness_overflow=overflow)
+
+
+def _search(
+    f: LinearForm,
+    k: int,
+    diameter: int,
+    prune_at: int | None,
+    ladder: dict[int, int],
+    node_budget: int | None,
+) -> tuple[int | None, tuple[KSet, ...], int]:
+    """The DFS behind search_min (k >= 2): best, uncapped witnesses, nodes."""
+    nodes = 1  # the root {0}, checked against the budget by search_min
     cb = _completion_bounds(ladder, k)
 
     if f.m == 2:
@@ -491,20 +542,11 @@ def search_min(
         if b is not None:
             candidates.append((b, w))
     if not candidates:
-        return SearchOutcome(best=None, witnesses=(), nodes=nodes)
+        return None, (), nodes
 
     best = min(b for b, _ in candidates)
     raw = [elems for b, w in candidates if b == best for elems in w]
-    reps = _reflection_reps(raw)
-    overflow = witness_cap is not None and len(reps) > witness_cap
-    if overflow:
-        reps = reps[:witness_cap]
-    return SearchOutcome(
-        best=best,
-        witnesses=tuple(KSet(elems) for elems in reps),
-        nodes=nodes,
-        witness_overflow=overflow,
-    )
+    return best, tuple(KSet(elems) for elems in _reflection_reps(raw)), nodes
 
 
 def compute_nf(f: LinearForm, k: int, config: NfConfig | None = None) -> ExtremalResult:
@@ -592,14 +634,15 @@ def compute_mf(f: LinearForm, k: int) -> MaxResult:
     better (values are determined by mass vectors), and {g^0, ..., g^{k-1}}
     with g = m * u_m + 1 achieves it, because every value's base-g digits
     (each at most u_total < g) recover its mass vector.  The witness is
-    verified by an independent image computation before returning.
+    verified before returning: its values sum(s_t * g^t) over the
+    vectors already enumerated must be pairwise distinct.
     """
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
     vectors = composition_vectors(f, k)
     g = f.m * f.coeffs[-1] + 1
-    witness = tuple(g**i for i in range(k))
-    achieved = image(f, witness).size
+    witness = checked_elems(f, (g**i for i in range(k)))
+    achieved = len({sum(s * a for s, a in zip(vec, witness)) for vec in vectors})
     if achieved != len(vectors):
         raise LinformsError(
             f"internal: geometric witness hit {achieved} values, expected {len(vectors)}"

@@ -193,7 +193,7 @@ def composition_vectors(
     return tuple(sorted(acc))
 
 
-def _checked_elems(f: LinearForm, elems: Iterable[int]) -> tuple[int, ...]:
+def checked_elems(f: LinearForm, elems: Iterable[int]) -> tuple[int, ...]:
     """Validate an argument set and its 64-bit value range."""
     xs = sorted(elems)
     if not xs:
@@ -211,7 +211,7 @@ def image_via_compositions(
     f: LinearForm, elems: Iterable[int], capacity: int = DEFAULT_CV_CAPACITY
 ) -> ValueSet:
     """Image through composition vectors (the default path)."""
-    xs = _checked_elems(f, elems)
+    xs = checked_elems(f, elems)
     k = len(xs)
     values = {sum(s * a for s, a in zip(vec, xs)) for vec in composition_vectors(f, k, capacity)}
     return ValueSet(values=tuple(sorted(values)))
@@ -219,7 +219,7 @@ def image_via_compositions(
 
 def image_via_tuples(f: LinearForm, elems: Iterable[int]) -> ValueSet:
     """Image by direct enumeration of all k^m argument tuples (oracle path)."""
-    xs = _checked_elems(f, elems)
+    xs = checked_elems(f, elems)
     values = {sum(u * a for u, a in zip(f.coeffs, tup)) for tup in product(xs, repeat=f.m)}
     return ValueSet(values=tuple(sorted(values)))
 

@@ -7,6 +7,8 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
+from linforms.engine import clear_search_memo
+
 settings.register_profile(
     "suite",
     deadline=None,
@@ -19,6 +21,12 @@ settings.load_profile("suite")
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture(autouse=True)
+def cold_search_memo() -> None:
+    """Each test starts with no remembered search results."""
+    clear_search_memo()
 
 
 _CRITERIA = {

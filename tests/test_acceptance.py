@@ -15,6 +15,7 @@ from pathlib import Path
 
 from oracles import oracle_min, random_form_coeffs, random_kset
 from linforms.engine import (
+    clear_search_memo,
     compute_mf,
     compute_nf,
     enumerate_minimizers,
@@ -207,10 +208,15 @@ def test_criterion_8_property_suite():
             == image_via_tuples(f, elems).values
         )
 
-    # byte-identical results and pinned node counts across repeated runs
+    # byte-identical results and pinned node counts across repeated cold
+    # runs, and from the search memo
     for coeffs, k, nodes in [((1, 3), 4, 322), ((1, 2, 4), 4, 415), ((2, 3), 5, 4380)]:
-        outs = [compute_nf(LinearForm(coeffs), k).to_json() for _ in range(3)]
-        assert outs[0] == outs[1] == outs[2], (coeffs, k)
+        outs = []
+        for _ in range(3):
+            clear_search_memo()
+            outs.append(compute_nf(LinearForm(coeffs), k).to_json())
+        outs.append(compute_nf(LinearForm(coeffs), k).to_json())
+        assert outs[0] == outs[1] == outs[2] == outs[3], (coeffs, k)
         assert outs[0]["nodes"] == nodes, (coeffs, k)
     assert time.monotonic() - t0 <= 60.0
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import random
 
 import pytest
@@ -72,6 +73,61 @@ class TestCacheModule:
         warnings = capsys.readouterr().err
         assert warnings.count("skipping corrupt cache line") == 2
 
+    def test_other_version_skipped(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        res = compute_nf(LinearForm((1, 3)), 3)
+        old = dataclasses.replace(cache.record_from_result(res), tool_version="0.0.0")
+        cache.append_record(path, old)
+        assert cache.lookup(path, (1, 3), 3, res.diameter_searched) is None
+        current = cache.record_from_result(res)
+        cache.append_record(path, current)
+        assert cache.lookup(path, (1, 3), 3, res.diameter_searched) == current
+        cache.append_record(path, old)  # a later stale record does not shadow it
+        assert cache.lookup(path, (1, 3), 3, res.diameter_searched) == current
+
+    def test_index_sees_appends(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        path.write_text("")
+        assert cache.lookup(path, (1, 3), 3, 8) is None
+        rec = cache.record_from_result(compute_nf(LinearForm((1, 3)), 3), timestamp="t1")
+        cache.append_record(path, rec)
+        assert cache.lookup(path, (1, 3), 3, 8) == rec
+        # Another writer, without the lock, within the same modification
+        # time tick: only the size tells.
+        other = cache.record_from_result(compute_nf(LinearForm((1, 2)), 3), timestamp="t2")
+        st = path.stat()
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(other.to_json()) + "\n")
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert cache.lookup(path, (1, 2), 3, 6) == other
+        assert cache.lookup(path, (1, 3), 3, 8) == rec
+
+    def test_index_reloads_truncated_or_replaced(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        first = cache.record_from_result(compute_nf(LinearForm((1, 3)), 3), timestamp="t1")
+        cache.append_record(path, first)
+        assert cache.lookup(path, (1, 3), 3, 8) == first
+        path.write_text("")  # truncated in place
+        assert cache.lookup(path, (1, 3), 3, 8) is None
+        cache.append_record(path, first)
+        assert cache.lookup(path, (1, 3), 3, 8) == first
+        # Rewritten in place: same inode and size, a later modification time.
+        second = dataclasses.replace(first, timestamp="t2")
+        stamp = path.stat().st_mtime_ns
+        with open(path, "r+", encoding="utf-8") as fh:
+            fh.write(json.dumps(second.to_json()) + "\n")
+        os.utime(path, ns=(stamp, stamp + 10**9))
+        assert cache.lookup(path, (1, 3), 3, 8) == second
+        # Replaced by another file: same size and modification time.
+        third = dataclasses.replace(first, timestamp="t3")
+        fresh = tmp_path / "new.jsonl"
+        cache.append_record(fresh, third)
+        os.utime(fresh, ns=(stamp, stamp + 10**9))
+        fresh.replace(path)
+        assert cache.lookup(path, (1, 3), 3, 8) == third
+        path.unlink()
+        assert cache.lookup(path, (1, 3), 3, 8) is None
+
     def test_coherence_randomized(self, tmp_path):
         """A cache hit equals recomputation on 100 randomized probes."""
         rng = random.Random(42)
@@ -125,6 +181,16 @@ class TestCliNf:
     def test_missing_args_exit_2(self, capsys):
         assert run(capsys, "nf", "--coeffs", "1,3")[0] == 2
         assert run(capsys, "bogus")[0] == 2
+
+    def test_parser_reused_across_calls(self, capsys):
+        bad = ("nf", "--coeffs", "1,3")
+        code, out, err = run(capsys, *bad)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: linforms nf") and "--k" in err
+        code, out, _ = run(capsys, "nf", "--coeffs", "1,3", "--k", "3", "--json")
+        assert code == 0
+        assert json.loads(out) == compute_nf(LinearForm((1, 3)), 3).to_json()
+        assert run(capsys, *bad) == (2, "", err)
 
     def test_ladder_flag(self, capsys):
         _, shallow, _ = run(capsys, "nf", "--coeffs", "1,3", "--k", "4", "--ladder", "2", "--json")

@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import oracle_image_size, oracle_min
+from linforms import engine
 from linforms.engine import (
     Certificate,
     NfConfig,
     binary_nf3_certificate,
+    clear_search_memo,
     compute_mf,
     compute_nf,
     enumerate_minimizers,
@@ -32,7 +36,7 @@ from linforms.errors import (
     ValueOverflow,
 )
 from linforms.forms import LinearForm, enumerate_normalized
-from linforms.sets import image
+from linforms.sets import composition_vectors, image
 
 
 class TestExactNf2:
@@ -187,9 +191,94 @@ class TestSearchMin:
         assert info.value.nodes == 6
 
     def test_repeated_runs_identical(self):
-        runs = [search_min(LinearForm((1, 2, 3)), 4, 12) for _ in range(3)]
+        runs = []
+        for _ in range(3):
+            clear_search_memo()
+            runs.append(search_min(LinearForm((1, 2, 3)), 4, 12))
         assert runs[0] == runs[1] == runs[2]
         assert runs[0].nodes == 96
+        assert search_min(LinearForm((1, 2, 3)), 4, 12) == runs[0]
+
+    def test_memo_answers_repeats(self, monkeypatch):
+        f = LinearForm((1, 3))
+        cold = search_min(f, 4, 12)
+        monkeypatch.setattr(engine, "_search", None)  # a miss would now fail
+        assert search_min(f, 4, 12) == cold
+        assert search_min(f, 4, 12, known={1: 1, 2: 4}) == cold
+
+    def test_memo_keys_prune_at_and_ladder(self):
+        f = LinearForm((1, 3))
+        assert search_min(f, 3, 9).best == 8
+        assert search_min(f, 3, 9, prune_at=7).best is None
+        assert search_min(f, 6, 20).nodes == 2021
+        assert search_min(f, 6, 20, known={1: 1, 2: 4, 3: 8}).nodes == 1267
+
+    def test_memo_entry_bound(self, monkeypatch):
+        monkeypatch.setattr(engine, "SEARCH_MEMO_ENTRIES", 2)
+        f = LinearForm((1, 3))
+        for k in (2, 3, 4):
+            search_min(f, k, 9)
+        assert [key[1] for key in engine._search_memo] == [3, 4]
+
+    def test_memo_shared_by_threads(self, monkeypatch):
+        # One entry and cheap k=2 searches: nearly every call evicts, so
+        # unsynchronised threads would delete the same oldest key twice.
+        monkeypatch.setattr(engine, "SEARCH_MEMO_ENTRIES", 1)
+        f = LinearForm((1, 3))
+        want = {d: search_min(f, 2, d) for d in range(1, 41)}
+        errors = []
+
+        def worker(seed: int) -> None:
+            try:
+                for i in range(1500):
+                    d = 1 + (seed + i) % 40
+                    assert search_min(f, 2, d) == want[d]
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(engine._search_memo) == 1
+
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=3)
+        .map(lambda c: tuple(sorted(c)))
+        .filter(lambda t: math.gcd(*t) == 1),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=0, max_value=4),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=20)),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=300)),
+    )
+    def test_memo_hit_equals_cold_run(self, coeffs, k, slack, prune_at, cap, budget):
+        f = LinearForm(coeffs)
+        diameter = f.u_total * (k - 1) // 2 + k - 1 + slack
+
+        def outcome():
+            try:
+                return search_min(
+                    f, k, diameter, prune_at=prune_at, witness_cap=cap, node_budget=budget
+                )
+            except BudgetExceeded as exc:
+                return (str(exc), exc.nodes)
+
+        clear_search_memo()
+        cold = outcome()
+        clear_search_memo()
+        # Unbudgeted, so it completes; its cap of 1 must not shorten the
+        # witness list that is remembered.
+        search_min(f, k, diameter, prune_at=prune_at, witness_cap=1)
+        assert outcome() == cold
 
     def test_matches_oracle_sweep(self):
         for f in enumerate_normalized(2, 4):
@@ -273,9 +362,13 @@ class TestComputeNf:
         assert out["certificate"]["lambda"] == 8
 
     def test_deterministic_across_runs(self):
-        outs = [compute_nf(LinearForm((1, 2, 4)), 4).to_json() for _ in range(3)]
+        outs = []
+        for _ in range(3):
+            clear_search_memo()
+            outs.append(compute_nf(LinearForm((1, 2, 4)), 4).to_json())
         assert outs[0] == outs[1] == outs[2]
         assert outs[0]["nodes"] == 415
+        assert compute_nf(LinearForm((1, 2, 4)), 4).to_json() == outs[0]
 
     def test_budget_counts_whole_run(self):
         # Rungs and every a1-partition draw on one countdown, so the run
@@ -295,6 +388,7 @@ class TestComputeNf:
     def test_budget_bounds_nodes(self, coeffs, k, budget):
         f = LinearForm(coeffs)
         free = compute_nf(f, k)
+        clear_search_memo()  # the budgeted run must count its nodes afresh
         try:
             res = compute_nf(f, k, NfConfig(node_budget=budget))
         except BudgetExceeded as exc:
@@ -332,6 +426,19 @@ class TestComputeMf:
     def test_value_overflow(self):
         with pytest.raises(ValueOverflow):
             compute_mf(LinearForm((1, 9)), 16)
+
+    def test_vectors_enumerated_once(self, monkeypatch):
+        calls = []
+
+        def counting(f, k, *args):
+            calls.append((f.coeffs, k))
+            return composition_vectors(f, k, *args)
+
+        monkeypatch.setattr(engine, "composition_vectors", counting)
+        for coeffs, k in [((1, 2), 5), ((1, 2, 3), 4), ((1, 1, 2, 3), 3)]:
+            calls.clear()
+            compute_mf(LinearForm(coeffs), k)
+            assert calls == [(coeffs, k)]
 
 
 class TestEnumerateMinimizers:
