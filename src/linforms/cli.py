@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import cache as cache_mod
-from .engine import NfConfig, compute_mf, compute_nf, enumerate_minimizers
+from .engine import NfConfig, compute_mf, compute_nf, enumerate_minimizers, search_diameter
 from .errors import InputError, ResourceError
 from .explorer import scan_ap_minimizer_converse, scan_completeness_converse, spectrum
 from .forms import parse_coeffs
@@ -34,7 +34,7 @@ def cmd_nf(args: argparse.Namespace) -> int:
         ladder_max_ell=args.ladder,
         node_budget=args.budget_nodes,
     )
-    diameter = args.diameter if args.diameter is not None else f.u_total * (args.k - 1)
+    diameter = search_diameter(f, args.k, args.diameter)
 
     if args.cache:
         rec = cache_mod.lookup(args.cache, f.coeffs, args.k, diameter)
@@ -94,11 +94,10 @@ def cmd_minimizers(args: argparse.Namespace) -> int:
     f = parse_coeffs(args.coeffs)
     mins = enumerate_minimizers(f, args.k, diameter=args.diameter)
     if args.json:
-        diameter = args.diameter if args.diameter is not None else f.u_total * (args.k - 1)
         out = {
             "coeffs": list(f.coeffs),
             "k": args.k,
-            "diameter": diameter,
+            "diameter": search_diameter(f, args.k, args.diameter),
             "minimizers": [list(w.elems) for w in mins],
         }
         print(json.dumps(out))

@@ -64,10 +64,10 @@ SEARCH_BITS_CAP = 10**7
 #: search_min keeps at most this many results in memory; the oldest goes first.
 SEARCH_MEMO_ENTRIES = 4096
 
-# (coeffs, k, diameter, prune_at, ladder items) -> (best, every
-# reflection-deduplicated witness, nodes) of a search that completed.
+# (coeffs, k, diameter, ladder items) -> (best, every reflection-deduplicated
+# witness, nodes) of a search that completed.
 # The lock serialises eviction and insertion between caller threads.
-_search_memo: dict[tuple, tuple[int | None, tuple[KSet, ...], int]] = {}
+_search_memo: dict[tuple, tuple[int, tuple[KSet, ...], int]] = {}
 _search_memo_lock = threading.Lock()
 
 KIND_TRIVIAL = "trivial-k1"
@@ -105,7 +105,7 @@ class Certificate:
 class SearchOutcome:
     """Raw result of one exhaustive search: value, witnesses, node count."""
 
-    best: int | None
+    best: int
     witnesses: tuple[KSet, ...]
     nodes: int
     witness_overflow: bool = False
@@ -231,6 +231,11 @@ def _block_bound(known: dict[int, int], k: int, ell: int) -> int:
     return (lam - 1) * q + known[mu_size]
 
 
+def search_diameter(f: LinearForm, k: int, diameter: int | None = None) -> int:
+    """The diameter a k-set search covers: diameter, or u_total * (k - 1) if None."""
+    return diameter if diameter is not None else f.u_total * (k - 1)
+
+
 def lower_certificate(f: LinearForm, k: int, known: dict[int, int]) -> Certificate:
     """Best block-decomposition lower bound available from a ladder.
 
@@ -271,16 +276,9 @@ def _completion_bounds(known: dict[int, int], k: int) -> list[int]:
     onto the partial set sharing exactly one value, so at least
     (block bound for t+1) - 1 new values appear.  cb[t] >= t always.
     """
-    cb = [0] * max(k, 1)
+    cb = [0] * k
     for t in range(1, k):
-        size = t + 1
-        if size == 1:
-            bound = 1
-        else:
-            bound = max(
-                _block_bound(known, size, ell) for ell in known if ell >= 2
-            )
-        cb[t] = bound - 1
+        cb[t] = max(_block_bound(known, t + 1, ell) for ell in known if ell >= 2) - 1
     return cb
 
 
@@ -293,25 +291,24 @@ def _explore_binary(
     u2: int,
     k: int,
     diameter: int,
-    a1: int,
-    seed: int | None,
     cb: list[int],
-    nodes: int,
     budget: int | None,
-) -> tuple[int | None, list[tuple[int, ...]], int]:
-    """DFS over canonical k-sets {0, a1, ...} for a two-variable form.
+) -> tuple[int, list[tuple[int, ...]], int]:
+    """DFS over canonical k-sets {0, ...} for a two-variable form.
 
     The image bitmask is maintained incrementally: with dilate masks
     D1 = {u1*a} and D2 = {u2*a}, appending e updates the image M by
     M |= (D2 << u1*e) | ((D1 | bit(u1*e)) << u2*e) -- constant work per
     node instead of a full chain recompute.
 
-    nodes is the search's node count before this partition; the count
-    after it is returned.  Counting past budget raises BudgetExceeded.
+    Returns the best value (the progression {0, ..., k-1} always fits),
+    its raw witnesses and the node count, the root {0} included.
+    Counting past budget raises BudgetExceeded.
     """
     gcd = math.gcd
-    best = seed
+    best = None
     wits: list[tuple[int, ...]] = []
+    nodes = 1  # the root {0}, budget-checked by search_min
 
     def rec(elems: tuple[int, ...], g: int, D1: int, D2: int, M: int, size: int, t: int) -> None:
         nonlocal best, wits, nodes
@@ -338,23 +335,7 @@ def _explore_binary(
                 continue
             rec(elems + (e,), g if g == 1 else gcd(g, e), D1e, D2 | (1 << sh2), Me, size_e, t - 1)
 
-    nodes += 1
-    if budget is not None and nodes > budget:
-        raise _budget_exceeded(budget, nodes)
-    D1 = 1 | (1 << (u1 * a1))
-    D2 = 1 | (1 << (u2 * a1))
-    M = D1 | (D1 << (u2 * a1))
-    size = M.bit_count()
-    if k == 2:
-        if a1 == 1:
-            if best is None or size < best:
-                best, wits = size, [(0, a1)]
-            elif size == best:
-                wits.append((0, a1))
-    elif best is None or size + cb[k - 2] <= best:
-        rec((0, a1), a1, D1, D2, M, size, k - 2)
-    if not wits:
-        return None, [], nodes
+    rec((0,), 0, 1, 1, 1, 1, k - 1)
     return best, wits, nodes
 
 
@@ -362,19 +343,17 @@ def _explore_general(
     coeffs: tuple[int, ...],
     k: int,
     diameter: int,
-    a1: int,
-    seed: int | None,
     cb: list[int],
-    nodes: int,
     budget: int | None,
-) -> tuple[int | None, list[tuple[int, ...]], int]:
-    """DFS over canonical k-sets {0, a1, ...}; image via the dilate chain.
+) -> tuple[int, list[tuple[int, ...]], int]:
+    """DFS over canonical k-sets {0, ...}; image via the dilate chain.
 
-    nodes and budget work as in _explore_binary.
+    Returns and budget work as in _explore_binary.
     """
     gcd = math.gcd
-    best = seed
+    best = None
     wits: list[tuple[int, ...]] = []
+    nodes = 1  # the root {0}, budget-checked by search_min
 
     def mask_of(elems: tuple[int, ...]) -> int:
         mask = 1
@@ -407,21 +386,7 @@ def _explore_general(
                 continue
             rec(child, g if g == 1 else gcd(g, e), size_e, t - 1)
 
-    nodes += 1
-    if budget is not None and nodes > budget:
-        raise _budget_exceeded(budget, nodes)
-    start = (0, a1)
-    size = mask_of(start).bit_count()
-    if k == 2:
-        if a1 == 1:
-            if best is None or size < best:
-                best, wits = size, [(0, a1)]
-            elif size == best:
-                wits.append((0, a1))
-    elif best is None or size + cb[k - 2] <= best:
-        rec(start, a1, size, k - 2)
-    if not wits:
-        return None, [], nodes
+    rec((0,), 0, 1, k - 1)
     return best, wits, nodes
 
 
@@ -446,36 +411,30 @@ def search_min(
     k: int,
     diameter: int,
     *,
-    prune_at: int | None = None,
     known: dict[int, int] | None = None,
     witness_cap: int | None = None,
     node_budget: int | None = None,
 ) -> SearchOutcome:
     """Exhaustive minimum of |f(A)| over canonical k-sets within a diameter.
 
-    Explores {0 = a_0 < a_1 < ... < a_{k-1} <= diameter, gcd 1} in
-    lexicographic order, pruning with the ladder completion bound; ties
-    with the running best are never pruned, so the witness list is the
-    full set of minimizers (deduplicated under reflection, then capped).
+    One depth-first search explores {0 = a_0 < a_1 < ... < a_{k-1} <=
+    diameter, gcd 1} in lexicographic order, pruning with the ladder
+    completion bound against the best value found so far; ties with it
+    are never pruned, so the witness list is the full set of minimizers
+    (deduplicated under reflection, then capped).  The order is fixed,
+    so results and node counts are deterministic.
 
-    Work is partitioned on a_1 and runs sequentially.  The a_1 = 1
-    partition (which contains the progression {0..k-1}) runs first and
-    its best seeds the pruning of every later partition, so results and
-    node counts are deterministic.
-
-    prune_at ignores any set with more values than it; if nothing at or
-    under prune_at exists, best is None.  known supplies exact small
-    values for pruning (defaults to the sizes 1 and 2).  node_budget
-    caps the nodes explored: the search raises BudgetExceeded on node
-    node_budget + 1.
+    known supplies exact small values for pruning (defaults to the sizes
+    1 and 2).  node_budget caps the nodes explored, the root {0}
+    included: the search raises BudgetExceeded on node node_budget + 1.
 
     Completed searches are remembered per process, keyed by every input
-    that changes the outcome (coeffs, k, diameter, prune_at and the
-    ladder), up to SEARCH_MEMO_ENTRIES results.  A repeated search is
-    answered from memory with the same outcome, node count included:
-    the witness cap is applied on return, and a remembered count over
-    node_budget raises exactly as the search would, on node
-    node_budget + 1.  clear_search_memo() forgets every result.
+    that changes the outcome (coeffs, k, diameter and the ladder), up to
+    SEARCH_MEMO_ENTRIES results.  A repeated search is answered from
+    memory with the same outcome, node count included: the witness cap
+    is applied on return, and a remembered count over node_budget raises
+    exactly as the search would, on node node_budget + 1.
+    clear_search_memo() forgets every result.
     """
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
@@ -485,16 +444,15 @@ def search_min(
         raise CapacityExceeded(
             f"image bitmask would need {f.u_total * diameter + 1} bits (cap {SEARCH_BITS_CAP})"
         )
-    nodes = 1  # the root {0}
-    if node_budget is not None and nodes > node_budget:
-        raise _budget_exceeded(node_budget, nodes)
+    if node_budget is not None and node_budget < 1:
+        raise _budget_exceeded(node_budget, 1)  # the root {0}
     if k == 1:
-        return SearchOutcome(best=1, witnesses=(KSet((0,)),), nodes=nodes)
+        return SearchOutcome(best=1, witnesses=(KSet((0,)),), nodes=1)
     ladder = dict(known) if known else {1: 1, 2: exact_nf2(f)}
-    memo_key = (f.coeffs, k, diameter, prune_at, tuple(_validate_known(ladder)))
+    memo_key = (f.coeffs, k, diameter, tuple(_validate_known(ladder)))
     hit = _search_memo.get(memo_key)
     if hit is None:
-        hit = _search(f, k, diameter, prune_at, ladder, node_budget)
+        hit = _search(f, k, diameter, ladder, node_budget)
         with _search_memo_lock:
             if len(_search_memo) >= SEARCH_MEMO_ENTRIES:
                 del _search_memo[next(iter(_search_memo))]
@@ -512,40 +470,16 @@ def _search(
     f: LinearForm,
     k: int,
     diameter: int,
-    prune_at: int | None,
     ladder: dict[int, int],
     node_budget: int | None,
-) -> tuple[int | None, tuple[KSet, ...], int]:
+) -> tuple[int, tuple[KSet, ...], int]:
     """The DFS behind search_min (k >= 2): best, uncapped witnesses, nodes."""
-    nodes = 1  # the root {0}, checked against the budget by search_min
     cb = _completion_bounds(ladder, k)
-
     if f.m == 2:
         u1, u2 = f.coeffs
-
-        def explore(a1: int, seed: int | None, nodes: int):
-            return _explore_binary(u1, u2, k, diameter, a1, seed, cb, nodes, node_budget)
-
+        best, raw, nodes = _explore_binary(u1, u2, k, diameter, cb, node_budget)
     else:
-        coeffs = f.coeffs
-
-        def explore(a1: int, seed: int | None, nodes: int):
-            return _explore_general(coeffs, k, diameter, a1, seed, cb, nodes, node_budget)
-
-    best1, wits1, nodes = explore(1, prune_at, nodes)
-    candidates: list[tuple[int, list[tuple[int, ...]]]] = []
-    if best1 is not None:
-        candidates.append((best1, wits1))
-    seed2 = best1 if best1 is not None else prune_at
-    for a1 in range(2, diameter - (k - 2) + 1):
-        b, w, nodes = explore(a1, seed2, nodes)
-        if b is not None:
-            candidates.append((b, w))
-    if not candidates:
-        return None, (), nodes
-
-    best = min(b for b, _ in candidates)
-    raw = [elems for b, w in candidates if b == best for elems in w]
+        best, raw, nodes = _explore_general(f.coeffs, k, diameter, cb, node_budget)
     return best, tuple(KSet(elems) for elems in _reflection_reps(raw)), nodes
 
 
@@ -560,7 +494,7 @@ def compute_nf(f: LinearForm, k: int, config: NfConfig | None = None) -> Extrema
     cfg = config or NfConfig()
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
-    diameter = cfg.diameter if cfg.diameter is not None else f.u_total * (k - 1)
+    diameter = search_diameter(f, k, cfg.diameter)
     if diameter < k - 1:
         raise DiameterTooSmall(f"diameter {diameter} cannot hold {k} distinct integers")
 
@@ -592,8 +526,8 @@ def compute_nf(f: LinearForm, k: int, config: NfConfig | None = None) -> Extrema
         cand = lower_certificate(f, ell, ladder)
         if ell == 3 and binary_cert is not None and binary_cert.bound >= cand.bound:
             cand = binary_cert
-        rung = search(ell, f.u_total * (ell - 1))
-        if rung.best is None or rung.best < cand.bound:
+        rung = search(ell, search_diameter(f, ell))
+        if rung.best < cand.bound:
             raise LinformsError(
                 f"internal: rung {ell} search found {rung.best} under certificate {cand.bound}"
             )
@@ -609,7 +543,7 @@ def compute_nf(f: LinearForm, k: int, config: NfConfig | None = None) -> Extrema
             cert = binary_cert
 
     out = search(k, diameter, cfg.witness_cap)
-    if out.best is None or out.best < cert.bound:
+    if out.best < cert.bound:
         raise LinformsError(
             f"internal: search found {out.best} under certificate {cert.bound} for {f}, k={k}"
         )

@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .engine import NfConfig, compute_mf, compute_nf
+from .engine import NfConfig, compute_mf, compute_nf, search_diameter
 from .errors import BudgetExceeded, DiameterTooSmall, InputError
 from .forms import LinearForm, enumerate_normalized, is_complete
 from .sets import image_mask, is_arithmetic_progression
@@ -124,7 +124,7 @@ def spectrum(
     """
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
-    D = diameter if diameter is not None else f.u_total * (k - 1)
+    D = search_diameter(f, k, diameter)
     if D < k - 1:
         raise DiameterTooSmall(f"diameter {D} cannot hold {k} distinct integers")
     if math.comb(D, k - 1) > budget:

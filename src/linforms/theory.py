@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import NfConfig, compute_mf, compute_nf, enumerate_minimizers, exact_nf2
+from .engine import NfConfig, compute_mf, compute_nf, exact_nf2
 from .errors import (
     BudgetExceeded,
     InputError,
@@ -273,7 +273,7 @@ def _suite_thm41(bounds: SuiteBounds) -> tuple[int, list[str]]:
     _guard_budget(len(forms) * bounds.max_k, bounds)
     for f in forms:
         for k in range(1, bounds.max_k + 1):
-            res = compute_nf(f, k, _cfg(bounds))
+            res = compute_nf(f, k, NfConfig(diameter=bounds.diameter, witness_cap=None))
             checked += 1
             want = complete_formula(f.u_total, k)
             if not res.exact or res.best != want:
@@ -286,7 +286,7 @@ def _suite_thm41(bounds: SuiteBounds) -> tuple[int, list[str]]:
                 # The single-unit form maps every k-set to exactly k values,
                 # so every set minimizes; uniqueness only holds from sum 2 up.
                 continue
-            mins = enumerate_minimizers(f, k, diameter=bounds.diameter)
+            mins = res.witnesses
             expected = (tuple(range(k)),)
             if tuple(w.elems for w in mins) != expected:
                 bad.append(

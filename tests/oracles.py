@@ -1,7 +1,7 @@
 """Independent oracles for checking the engine.
 
 Everything here deliberately avoids the package's bitmask images,
-completion-bound pruning, and partition parallelism: image sizes come
+completion-bound pruning and depth-first search: image sizes come
 from a plain product loop and minima from full enumeration of canonical
 sets, so engine results are always checked against a second, dumber
 code path.

@@ -157,6 +157,13 @@ class TestSearchMin:
         assert out.best == 10
         assert [w.elems for w in out.witnesses] == [(0, 1, 2, 3)]
 
+    def test_best_from_later_first_gap_prunes_the_rest(self):
+        # The minimizer has a_1 = 2; later subtrees are pruned by its value.
+        out = search_min(LinearForm((2, 3)), 6, 14)
+        assert out.best == 22
+        assert [w.elems for w in out.witnesses] == [(0, 2, 3, 5, 6, 8)]
+        assert out.nodes == 1365
+
     def test_k1(self):
         out = search_min(LinearForm((1, 2)), 1, 0)
         assert out.best == 1 and out.witnesses[0].elems == (0,)
@@ -168,16 +175,6 @@ class TestSearchMin:
     def test_bits_cap(self):
         with pytest.raises(CapacityExceeded):
             search_min(LinearForm((1, 999_999)), 2, 11)
-
-    def test_prune_at_below_best_gives_none(self):
-        out = search_min(LinearForm((1, 3)), 3, 9, prune_at=7)
-        assert out.best is None and out.witnesses == ()
-
-    def test_prune_at_best_keeps_all_witnesses(self):
-        plain = search_min(LinearForm((1, 3)), 3, 9)
-        seeded = search_min(LinearForm((1, 3)), 3, 9, prune_at=8)
-        assert seeded.best == plain.best
-        assert seeded.witnesses == plain.witnesses
 
     def test_witness_cap_overflow_flag(self):
         out = search_min(LinearForm((1, 3)), 3, 9, witness_cap=1)
@@ -206,10 +203,8 @@ class TestSearchMin:
         assert search_min(f, 4, 12) == cold
         assert search_min(f, 4, 12, known={1: 1, 2: 4}) == cold
 
-    def test_memo_keys_prune_at_and_ladder(self):
+    def test_memo_keys_ladder(self):
         f = LinearForm((1, 3))
-        assert search_min(f, 3, 9).best == 8
-        assert search_min(f, 3, 9, prune_at=7).best is None
         assert search_min(f, 6, 20).nodes == 2021
         assert search_min(f, 6, 20, known={1: 1, 2: 4, 3: 8}).nodes == 1267
 
@@ -256,19 +251,16 @@ class TestSearchMin:
         .filter(lambda t: math.gcd(*t) == 1),
         st.integers(min_value=1, max_value=4),
         st.integers(min_value=0, max_value=4),
-        st.one_of(st.none(), st.integers(min_value=1, max_value=20)),
         st.one_of(st.none(), st.integers(min_value=0, max_value=3)),
         st.one_of(st.none(), st.integers(min_value=0, max_value=300)),
     )
-    def test_memo_hit_equals_cold_run(self, coeffs, k, slack, prune_at, cap, budget):
+    def test_memo_hit_equals_cold_run(self, coeffs, k, slack, cap, budget):
         f = LinearForm(coeffs)
         diameter = f.u_total * (k - 1) // 2 + k - 1 + slack
 
         def outcome():
             try:
-                return search_min(
-                    f, k, diameter, prune_at=prune_at, witness_cap=cap, node_budget=budget
-                )
+                return search_min(f, k, diameter, witness_cap=cap, node_budget=budget)
             except BudgetExceeded as exc:
                 return (str(exc), exc.nodes)
 
@@ -277,17 +269,25 @@ class TestSearchMin:
         clear_search_memo()
         # Unbudgeted, so it completes; its cap of 1 must not shorten the
         # witness list that is remembered.
-        search_min(f, k, diameter, prune_at=prune_at, witness_cap=1)
+        search_min(f, k, diameter, witness_cap=1)
         assert outcome() == cold
 
     def test_matches_oracle_sweep(self):
-        for f in enumerate_normalized(2, 4):
-            for k in (2, 3):
-                for diameter in range(k - 1, 9):
-                    got = search_min(f, k, diameter)
-                    want_best, want_wits = oracle_min(f.coeffs, k, diameter)
-                    assert got.best == want_best, (f, k, diameter)
-                    assert tuple(w.elems for w in got.witnesses) == want_wits
+        cases = [
+            (f, k, diameter)
+            for f in enumerate_normalized(2, 4)
+            for k in (2, 3)
+            for diameter in range(k - 1, 9)
+        ]
+        # Both coefficients >= 2 at k=6: at the larger diameters the
+        # minimizers have a_1 >= 2, so the best is found after the a_1 = 1
+        # subtree.
+        cases += [(LinearForm(c), 6, d) for c in ((2, 3), (2, 5)) for d in range(5, 11)]
+        for f, k, diameter in cases:
+            got = search_min(f, k, diameter)
+            want_best, want_wits = oracle_min(f.coeffs, k, diameter)
+            assert got.best == want_best, (f, k, diameter)
+            assert tuple(w.elems for w in got.witnesses) == want_wits
 
     @given(
         st.tuples(st.integers(1, 5), st.integers(1, 5)).map(
@@ -316,6 +316,12 @@ class TestComputeNf:
         assert not res.exact
         assert (res.lower, res.best) == (11, 12)
         assert res.certificate.kind == "lemma-block"
+
+    def test_minimizer_past_first_gap_one(self):
+        res = compute_nf(LinearForm((2, 3)), 6)
+        assert (res.lower, res.best, res.exact) == (18, 22, False)
+        assert [w.elems for w in res.witnesses] == [(0, 2, 3, 5, 6, 8)]
+        assert res.nodes_explored == 10322
 
     def test_exact_complete_form(self):
         res = compute_nf(LinearForm((1, 2, 3)), 4)
@@ -371,8 +377,8 @@ class TestComputeNf:
         assert compute_nf(LinearForm((1, 2, 4)), 4).to_json() == outs[0]
 
     def test_budget_counts_whole_run(self):
-        # Rungs and every a1-partition draw on one countdown, so the run
-        # stops on node budget + 1 instead of finishing each partition.
+        # Rungs and the main search draw on one countdown, so the run
+        # stops on node budget + 1 instead of finishing each search.
         with pytest.raises(BudgetExceeded) as info:
             compute_nf(LinearForm((2, 5)), 7, NfConfig(node_budget=300_000))
         assert info.value.nodes <= 300_001
