@@ -23,9 +23,13 @@ same block argument run backwards: a partial set with image size v and
 t slots still open can only finish at v + cb(t) or more, where cb(t) is
 the ladder bound for t + 1 elements minus one (appending elements above
 the current maximum glues a (t+1)-block onto the partial set in a
-single shared value).  Pruning is strict, so every set achieving the
+single shared value).  It also visits only one member of each
+mirror-image pair: the reflection d - A of a set A with maximum d has
+the same diameter, gcd and image size (f(d - A) = u_total*d - f(A)), so
+only sets whose first gap is at most their last gap are searched.
+Pruning is strict, so the representative of every set achieving the
 final minimum survives; the pruned search returns the same best value
-and witness set as naive enumeration.
+and, up to reflection, the same witness set as naive enumeration.
 
 When the certified lower bound meets the searched minimum the value is
 exact; otherwise the honest answer is the bracket [lower, best].
@@ -286,6 +290,22 @@ def _budget_exceeded(budget: int, nodes: int) -> BudgetExceeded:
     return BudgetExceeded(f"node budget {budget} exhausted ({nodes} nodes)", nodes=nodes)
 
 
+def _next_elements(elems: tuple[int, ...], t: int, diameter: int) -> range:
+    """Candidates for the next element of a partial set with t slots open.
+
+    Only sets whose first gap a_1 is at most their last gap are visited,
+    one member of each mirror-image pair (see search_min).  Each bound
+    leaves room for the rest of the set, so every node has a completion.
+    """
+    last = elems[-1]
+    if len(elems) == 1:  # choosing a_1: a last gap >= a_1 must still fit
+        return range(1, (diameter - t + 2) // 2 + 1 if t > 1 else diameter + 1)
+    a1 = elems[1]
+    if t > 1:  # t - 2 more elements, then a last gap >= a_1
+        return range(last + 1, diameter - a1 - t + 3)
+    return range(last + a1, diameter + 1)
+
+
 def _explore_binary(
     u1: int,
     u2: int,
@@ -300,6 +320,10 @@ def _explore_binary(
     D1 = {u1*a} and D2 = {u2*a}, appending e updates the image M by
     M |= (D2 << u1*e) | ((D1 | bit(u1*e)) << u2*e) -- constant work per
     node instead of a full chain recompute.
+
+    Only sets whose first gap is at most their last gap are visited
+    (_next_elements): the other member of each mirror-image pair has the
+    same image size, and _reflection_reps reports the visited one.
 
     Returns the best value (the progression {0, ..., k-1} always fits),
     its raw witnesses and the node count, the root {0} included.
@@ -321,8 +345,7 @@ def _explore_binary(
                     wits.append(elems)
             return
         cbt = cb[t - 1]
-        last = elems[-1]
-        for e in range(last + 1, diameter - t + 2):
+        for e in _next_elements(elems, t, diameter):
             nodes += 1
             if budget is not None and nodes > budget:
                 raise _budget_exceeded(budget, nodes)
@@ -348,7 +371,8 @@ def _explore_general(
 ) -> tuple[int, list[tuple[int, ...]], int]:
     """DFS over canonical k-sets {0, ...}; image via the dilate chain.
 
-    Returns and budget work as in _explore_binary.
+    Visits one member of each mirror-image pair, and returns and counts
+    the budget, as _explore_binary does.
     """
     gcd = math.gcd
     best = None
@@ -375,8 +399,7 @@ def _explore_general(
                     wits.append(elems)
             return
         cbt = cb[t - 1]
-        last = elems[-1]
-        for e in range(last + 1, diameter - t + 2):
+        for e in _next_elements(elems, t, diameter):
             nodes += 1
             if budget is not None and nodes > budget:
                 raise _budget_exceeded(budget, nodes)
@@ -423,6 +446,15 @@ def search_min(
     are never pruned, so the witness list is the full set of minimizers
     (deduplicated under reflection, then capped).  The order is fixed,
     so results and node counts are deterministic.
+
+    Only sets whose first gap a_1 is at most their last gap are
+    searched.  Reflection x -> a_{k-1} - x keeps the diameter, the gcd
+    and the image size, and maps every other set onto one of these, its
+    lexicographically smaller mirror image, which is the witness
+    reported anyway; a pair with equal end gaps is visited twice and
+    deduplicated.  Best values and witness lists are those of the full
+    search, but node counts are about 0.5-0.7 times those of versions
+    that searched both members of each pair.
 
     known supplies exact small values for pruning (defaults to the sizes
     1 and 2).  node_budget caps the nodes explored, the root {0}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 import threading
@@ -143,14 +144,14 @@ class TestSearchMin:
         out = search_min(LinearForm((1, 3)), 3, 9)
         assert out.best == 8
         assert [w.elems for w in out.witnesses] == [(0, 1, 3), (0, 1, 4)]
-        assert out.nodes == 45
+        assert out.nodes == 25
         assert not out.witness_overflow
 
     def test_frozen_binary_k4(self):
         out = search_min(LinearForm((1, 3)), 4, 12)
         assert out.best == 12
         assert [w.elems for w in out.witnesses] == [(0, 1, 3, 4)]
-        assert out.nodes == 286
+        assert out.nodes == 161
 
     def test_frozen_progression_case(self):
         out = search_min(LinearForm((1, 2)), 4, 6)
@@ -162,7 +163,27 @@ class TestSearchMin:
         out = search_min(LinearForm((2, 3)), 6, 14)
         assert out.best == 22
         assert [w.elems for w in out.witnesses] == [(0, 2, 3, 5, 6, 8)]
-        assert out.nodes == 1365
+        assert out.nodes == 888
+
+    def test_visits_one_of_each_mirror_pair(self):
+        def visits(k, diameter):
+            # 1 (the root) + each prefix of length >= 2 of a set whose
+            # first gap is at most its last gap, by brute force
+            prefixes = set()
+            for rest in itertools.combinations(range(1, diameter + 1), k - 1):
+                elems = (0, *rest)
+                if elems[1] <= elems[-1] - elems[-2]:
+                    prefixes.update(elems[:j] for j in range(2, k + 1))
+            return 1 + len(prefixes)
+
+        for k in range(2, 7):
+            never = [-(10**9)] * k  # completion bounds that never prune
+            for diameter in range(k - 1, k + 9):
+                want = visits(k, diameter)
+                assert engine._explore_binary(1, 2, k, diameter, never, None)[2] == want
+                assert engine._explore_general((1, 2, 3), k, diameter, never, None)[2] == want
+                # u_total = 1: every k-set has k values, so all tie and none is pruned
+                assert search_min(LinearForm((1,)), k, diameter).nodes == want
 
     def test_k1(self):
         out = search_min(LinearForm((1, 2)), 1, 0)
@@ -193,7 +214,7 @@ class TestSearchMin:
             clear_search_memo()
             runs.append(search_min(LinearForm((1, 2, 3)), 4, 12))
         assert runs[0] == runs[1] == runs[2]
-        assert runs[0].nodes == 96
+        assert runs[0].nodes == 58
         assert search_min(LinearForm((1, 2, 3)), 4, 12) == runs[0]
 
     def test_memo_answers_repeats(self, monkeypatch):
@@ -205,8 +226,8 @@ class TestSearchMin:
 
     def test_memo_keys_ladder(self):
         f = LinearForm((1, 3))
-        assert search_min(f, 6, 20).nodes == 2021
-        assert search_min(f, 6, 20, known={1: 1, 2: 4, 3: 8}).nodes == 1267
+        assert search_min(f, 6, 20).nodes == 1277
+        assert search_min(f, 6, 20, known={1: 1, 2: 4, 3: 8}).nodes == 761
 
     def test_memo_entry_bound(self, monkeypatch):
         monkeypatch.setattr(engine, "SEARCH_MEMO_ENTRIES", 2)
@@ -290,14 +311,16 @@ class TestSearchMin:
             assert tuple(w.elems for w in got.witnesses) == want_wits
 
     @given(
-        st.tuples(st.integers(1, 5), st.integers(1, 5)).map(
-            lambda t: tuple(sorted(t))
-        ).filter(lambda t: math.gcd(*t) == 1),
-        st.integers(min_value=2, max_value=3),
-        st.integers(min_value=3, max_value=9),
+        st.lists(st.integers(1, 6), min_size=1, max_size=4)
+        .map(lambda c: tuple(sorted(c)))
+        .filter(lambda t: math.gcd(*t) == 1),
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=0, max_value=6),
     )
-    def test_matches_oracle_random(self, coeffs, k, diameter):
+    def test_matches_oracle_random(self, coeffs, k, slack):
+        # Diameters k-1 .. k+5, odd and even, so equal end gaps occur.
         f = LinearForm(coeffs)
+        diameter = k - 1 + slack
         got = search_min(f, k, diameter)
         want_best, want_wits = oracle_min(coeffs, k, diameter)
         assert got.best == want_best
@@ -321,7 +344,7 @@ class TestComputeNf:
         res = compute_nf(LinearForm((2, 3)), 6)
         assert (res.lower, res.best, res.exact) == (18, 22, False)
         assert [w.elems for w in res.witnesses] == [(0, 2, 3, 5, 6, 8)]
-        assert res.nodes_explored == 10322
+        assert res.nodes_explored == 6810
 
     def test_exact_complete_form(self):
         res = compute_nf(LinearForm((1, 2, 3)), 4)
@@ -373,8 +396,15 @@ class TestComputeNf:
             clear_search_memo()
             outs.append(compute_nf(LinearForm((1, 2, 4)), 4).to_json())
         assert outs[0] == outs[1] == outs[2]
-        assert outs[0]["nodes"] == 415
+        assert outs[0]["nodes"] == 238
         assert compute_nf(LinearForm((1, 2, 4)), 4).to_json() == outs[0]
+
+    @pytest.mark.parametrize(
+        "coeffs,k,nodes", [((1, 5), 6, 18242), ((2, 3, 5), 5, 6912), ((1, 3, 4, 4), 5, 2699)]
+    )
+    def test_kernel_node_totals(self, coeffs, k, nodes):
+        # The benchmark's tiny nf-deep instances: both kernels, every rung.
+        assert compute_nf(LinearForm(coeffs), k).nodes_explored == nodes
 
     def test_budget_counts_whole_run(self):
         # Rungs and the main search draw on one countdown, so the run
