@@ -30,6 +30,9 @@ only sets whose first gap is at most their last gap are searched.
 Pruning is strict, so the representative of every set achieving the
 final minimum survives; the pruned search returns the same best value
 and, up to reflection, the same witness set as naive enumeration.
+No node rebuilds its image: each extends masks its parent kept, at
+3 big-integer shift-ORs per node for two-variable forms and nf2 - 1
+(one per nonzero subset sum) for any other form.
 
 When the certified lower bound meets the searched minimum the value is
 exact; otherwise the honest answer is the bracket [lower, best].
@@ -42,6 +45,7 @@ number of composition vectors and {1, g, g^2, ...} witnesses it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
 from dataclasses import dataclass
@@ -62,7 +66,8 @@ from .forms import LinearForm, subset_sums
 from .sets import KSet, checked_elems, composition_vectors
 from .sets import image  # noqa: F401  (bench/test_smoke.py traces engine.image)
 
-#: Search bitmasks may span at most this many bits (u_total * diameter).
+#: The masks one search keeps may span at most this many bits in total
+#: (_search_bits), checked before the search starts.
 SEARCH_BITS_CAP = 10**7
 
 #: search_min keeps at most this many results in memory; the oldest goes first.
@@ -369,7 +374,22 @@ def _explore_general(
     cb: list[int],
     budget: int | None,
 ) -> tuple[int, list[tuple[int, ...]], int]:
-    """DFS over canonical k-sets {0, ...}; image via the dilate chain.
+    """DFS over canonical k-sets {0, ...} (k >= 2) for any form.
+
+    Each frame holds the image masks M_T(A) of every sub-multiset T of
+    the coefficients (_frame_layout; M_empty = {0}).  Appending e > max A
+    gives each variable either e or an element of A, so the image of
+    A + {e} is the OR over T of M_T(A) << (u_total - sum(T))*e, with T
+    the variables given A.  The parent ORs its masks into one group per
+    subset sum, and each child's image is then nf2 - 1 shift-ORs
+    whatever |A| is, taken in Horner order so the early ones act on
+    short masks.  Only a child that is recursed into builds its own
+    table, in order of growing |T|, by
+    M_T(A + {e}) = M_T(A) | OR over distinct v in T of M_{T - v}(A + {e}) << v*e.
+    A last element that leaves the gcd above 1 is counted and skipped
+    with no mask work: such a set is never recorded.  Other last
+    elements are recorded inline, as no completion bound applies to
+    them (cb[0] <= 0).
 
     Visits one member of each mirror-image pair, and returns and counts
     the budget, as _explore_binary does.
@@ -378,39 +398,96 @@ def _explore_general(
     best = None
     wits: list[tuple[int, ...]] = []
     nodes = 1  # the root {0}, budget-checked by search_min
+    steps, horner = _frame_layout(coeffs)
+    full = len(steps) - 1
 
-    def mask_of(elems: tuple[int, ...]) -> int:
-        mask = 1
-        for u in coeffs:
-            s = 0
-            for a in elems:
-                s |= mask << (u * a)
-            mask = s
-        return mask
-
-    def rec(elems: tuple[int, ...], g: int, size: int, t: int) -> None:
+    def rec(elems: tuple[int, ...], g: int, table: list[int], t: int) -> None:
         nonlocal best, wits, nodes
-        if t == 0:
-            if g == 1:
-                if best is None or size < best:
-                    best = size
-                    wits = [elems]
-                elif size == best:
-                    wits.append(elems)
-            return
+        grouped = []
+        for d, members in horner:
+            G = 0
+            for i in members:
+                G |= table[i]
+            grouped.append((d, G))
         cbt = cb[t - 1]
         for e in _next_elements(elems, t, diameter):
             nodes += 1
             if budget is not None and nodes > budget:
                 raise _budget_exceeded(budget, nodes)
-            child = elems + (e,)
-            size_e = mask_of(child).bit_count()
+            if t == 1 and g != 1 and gcd(g, e) != 1:
+                continue
+            Me = 1
+            for d, G in grouped:
+                Me = (Me << (d * e)) | G
+            size_e = Me.bit_count()
+            if t == 1:
+                if best is None or size_e < best:
+                    best = size_e
+                    wits = [elems + (e,)]
+                elif size_e == best:
+                    wits.append(elems + (e,))
+                continue
             if best is not None and size_e + cbt > best:
                 continue
-            rec(child, g if g == 1 else gcd(g, e), size_e, t - 1)
+            child = [1]
+            for i in range(1, full):
+                M = table[i]
+                for j, v in steps[i]:
+                    M |= child[j] << (v * e)
+                child.append(M)
+            child.append(Me)
+            rec(elems + (e,), g if g == 1 else gcd(g, e), child, t - 1)
 
-    rec((0,), 0, 1, k - 1)
+    rec((0,), 0, [1] * (full + 1), k - 1)
     return best, wits, nodes
+
+
+def _frame_layout(
+    coeffs: tuple[int, ...],
+) -> tuple[list[tuple[tuple[int, int], ...]], list[tuple[int, list[int]]]]:
+    """How a frame of _explore_general numbers and groups its masks.
+
+    The sub-multisets T of coeffs are numbered in an order of growing
+    |T|: 0 is the empty multiset and the last one is coeffs itself.
+    Returns, per T, the pairs (number of T - v, v) for each distinct v
+    in T; and per nonzero subset sum w, in increasing order, the step
+    from the previous subset sum and the numbers of the T that sum to w.
+    That is prod(multiplicity + 1) masks and nf2 - 1 groups, the layout
+    _frame_bits counts without building it.
+    """
+    values = sorted(set(coeffs))
+    subs = sorted(
+        itertools.product(*(range(coeffs.count(v) + 1) for v in values)), key=sum
+    )
+    number = {T: i for i, T in enumerate(subs)}
+    steps = [
+        tuple(
+            (number[T[:j] + (c - 1,) + T[j + 1 :]], v)
+            for j, (c, v) in enumerate(zip(T, values))
+            if c
+        )
+        for T in subs
+    ]
+    groups: dict[int, list[int]] = {}
+    for i, T in enumerate(subs):
+        groups.setdefault(sum(c * v for c, v in zip(T, values)), []).append(i)
+    # The sum 0 holds only the empty multiset, whose mask {0} starts Horner.
+    order = sorted(groups)
+    return steps, [(w - prev, groups[w]) for prev, w in zip(order, order[1:])]
+
+
+def _frame_bits(f: LinearForm, width: int) -> int:
+    """Bits of the masks one frame of _explore_general keeps for a set within width.
+
+    The frame keeps a mask per sub-multiset T of the coefficients,
+    spanning sum(T)*width + 1 bits, and a group mask per nonzero subset
+    sum w, spanning w*width + 1 bits (_frame_layout).  T pairs with its
+    complement and w with u_total - w, so both kinds of sums average
+    u_total / 2.
+    """
+    table = math.prod(f.coeffs.count(v) + 1 for v in set(f.coeffs))
+    nf2 = exact_nf2(f)
+    return (table + nf2) * f.u_total * width // 2 + table + nf2 - 1
 
 
 def _reflection_reps(raw: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
@@ -421,6 +498,21 @@ def _reflection_reps(raw: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
         mirrored = tuple(d - x for x in reversed(elems))
         reps.add(min(elems, mirrored))
     return sorted(reps)
+
+
+def _search_bits(f: LinearForm, k: int, diameter: int) -> int:
+    """The bits search_min checks against SEARCH_BITS_CAP for k-sets within diameter.
+
+    The image of a set spans at most u_total * diameter + 1 bits.  For
+    k = 1 and two-variable forms it is the one mask counted.  The
+    general kernel keeps a frame per set size below k (_frame_bits):
+    the root {0}, whose masks are all {0}, and k - 2 frames of sets
+    within the diameter; the last level adds one image at a time.
+    """
+    image_bits = f.u_total * diameter + 1
+    if f.m == 2 or k == 1:
+        return image_bits
+    return _frame_bits(f, 0) + (k - 2) * _frame_bits(f, diameter) + image_bits
 
 
 def clear_search_memo() -> None:
@@ -472,10 +564,9 @@ def search_min(
         raise InputError(f"need k >= 1, got {k}")
     if diameter < k - 1:
         raise DiameterTooSmall(f"diameter {diameter} cannot hold {k} distinct integers")
-    if f.u_total * diameter + 1 > SEARCH_BITS_CAP:
-        raise CapacityExceeded(
-            f"image bitmask would need {f.u_total * diameter + 1} bits (cap {SEARCH_BITS_CAP})"
-        )
+    bits = _search_bits(f, k, diameter)
+    if bits > SEARCH_BITS_CAP:
+        raise CapacityExceeded(f"search masks would need {bits} bits (cap {SEARCH_BITS_CAP})")
     if node_budget is not None and node_budget < 1:
         raise _budget_exceeded(node_budget, 1)  # the root {0}
     if k == 1:

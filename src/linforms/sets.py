@@ -240,8 +240,9 @@ def image_mask(f: LinearForm, elems: Sequence[int]) -> int:
     """Bitmask of f(A) for a non-negative argument set (size-only queries).
 
     Bit n is set exactly when n is in f(A).  Runs the dilate chain
-    M_i = { v + u_i * a } in m*k big-integer shifts; used by the search
-    inner loop where only |f(A)| matters.
+    M_i = { v + u_i * a } in m*k big-integer shifts; spectrum censuses
+    use it where only |f(A)| matters.  The search kernels do not: they
+    extend the masks of a set's parent instead of rebuilding them.
     """
     if elems and elems[0] < 0:
         raise ValueOverflow("bitmask images need non-negative elements")

@@ -197,6 +197,75 @@ class TestSearchMin:
         with pytest.raises(CapacityExceeded):
             search_min(LinearForm((1, 999_999)), 2, 11)
 
+    def test_bits_cap_counts_the_mask_tables(self, monkeypatch):
+        # One image of 36 * 200,000 + 1 bits fits, but the frame of the
+        # sets {0, a_1}, 2^8 sub-multiset masks and 36 group masks, does not.
+        f = LinearForm((1, 2, 3, 4, 5, 6, 7, 8))
+        assert f.u_total * 200_000 + 1 <= engine.SEARCH_BITS_CAP
+        monkeypatch.setattr(engine, "_search", None)  # a search would now fail
+        with pytest.raises(CapacityExceeded, match=r"need 1062000585 bits"):
+            search_min(f, 3, 200_000)
+
+    def test_bits_cap_counts_the_root_frame(self, monkeypatch):
+        # Every mask of the root {0} is {0}, but there are 2^30 + 465 of
+        # them; the cap refuses before the layout is built.
+        f = LinearForm(tuple(range(1, 31)))
+        monkeypatch.setattr(engine, "_search", None)
+        monkeypatch.setattr(engine, "_frame_layout", None)
+        with pytest.raises(CapacityExceeded, match=r"need 1073742755 bits"):
+            search_min(f, 2, 1)
+
+    def test_bits_cap_near_one_image(self):
+        # A 2-set search keeps the root's one-bit masks and one image at a
+        # time, so an image that nearly fills the cap is still searched.
+        f = LinearForm(tuple(range(1, 11)))
+        assert f.u_total * 181_790 + 1 > 0.9998 * engine.SEARCH_BITS_CAP
+        out = search_min(f, 2, 181_790)
+        assert (out.best, out.nodes) == (56, 181_791)
+
+    def test_frame_bits_counts_the_layout(self):
+        # _frame_bits sums the masks _frame_layout numbers, without building them.
+        for coeffs in ((1, 2, 3), (1, 1, 1, 2), (2, 2, 2, 3), (1, 4, 4, 4), (1, 1, 2, 3, 5)):
+            f = LinearForm(coeffs)
+            steps, horner = engine._frame_layout(coeffs)
+            sums = [0]
+            for pairs in steps[1:]:
+                j, v = pairs[0]
+                sums.append(sums[j] + v)
+            groups = list(itertools.accumulate(d for d, _ in horner))
+            assert len(groups) == exact_nf2(f) - 1
+            assert all(sums[i] == w for w, (_, members) in zip(groups, horner) for i in members)
+            for width in (0, 1, 7, 30):
+                want = sum(s * width + 1 for s in sums) + sum(w * width + 1 for w in groups)
+                assert engine._frame_bits(f, width) == want
+
+    def test_bits_bound_the_masks_kept(self):
+        # At every return from the general kernel's deepest level, the
+        # tables and groups of the frames on the stack plus the last image
+        # fit the count the cap checks.
+        f, k, diameter = LinearForm((1, 2, 2, 3)), 4, 9
+        peak = 0
+
+        def profile(frame, event, arg):
+            nonlocal peak
+            if event != "return" or frame.f_code.co_name != "rec":
+                return
+            bits = frame.f_locals.get("Me", 0).bit_length()
+            while frame is not None:
+                if frame.f_code.co_name == "rec":
+                    local = frame.f_locals
+                    bits += sum(M.bit_length() for M in local["table"])
+                    bits += sum(G.bit_length() for _, G in local["grouped"])
+                frame = frame.f_back
+            peak = max(peak, bits)
+
+        sys.setprofile(profile)
+        try:
+            search_min(f, k, diameter)
+        finally:
+            sys.setprofile(None)
+        assert 0 < peak <= engine._search_bits(f, k, diameter)
+
     def test_witness_cap_overflow_flag(self):
         out = search_min(LinearForm((1, 3)), 3, 9, witness_cap=1)
         assert out.best == 8
@@ -207,6 +276,43 @@ class TestSearchMin:
         with pytest.raises(BudgetExceeded) as info:
             search_min(LinearForm((1, 3)), 4, 12, node_budget=5)
         assert info.value.nodes == 6
+
+    def test_budget_stop_on_gcd_skipped_leaf(self):
+        # Node 9 is {0, 2, 4}: a last element that keeps the gcd at 2 is
+        # counted, so the budget still stops the search there.
+        assert search_min(LinearForm((1, 2, 3)), 3, 6).nodes == 13
+        clear_search_memo()
+        with pytest.raises(BudgetExceeded) as info:
+            search_min(LinearForm((1, 2, 3)), 3, 6, node_budget=8)
+        assert info.value.nodes == 9
+        assert str(info.value) == "node budget 8 exhausted (9 nodes)"
+
+    @given(
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=0, max_value=6),
+        st.sampled_from(["ladder", "never", "budget"]),
+        st.integers(min_value=1, max_value=200),
+    )
+    def test_general_kernel_matches_binary(self, u1, extra, k, slack, bounds, budget):
+        # Raw witness lists are compared, so the visiting order must agree too.
+        u2 = u1 + extra
+        diameter = k - 1 + slack
+        if bounds == "never":
+            cb = [-(10**9)] * k
+        else:
+            nf2 = len({0, u1, u2, u1 + u2})  # the kernels take forms with any gcd
+            cb = engine._completion_bounds({1: 1, 2: nf2}, k)
+        limit = budget if bounds == "budget" else None
+
+        def run(explore, *coeffs):
+            try:
+                return explore(*coeffs, k, diameter, cb, limit)
+            except BudgetExceeded as exc:
+                return exc.nodes
+
+        assert run(engine._explore_general, (u1, u2)) == run(engine._explore_binary, u1, u2)
 
     def test_repeated_runs_identical(self):
         runs = []
@@ -304,6 +410,14 @@ class TestSearchMin:
         # minimizers have a_1 >= 2, so the best is found after the a_1 = 1
         # subtree.
         cases += [(LinearForm(c), 6, d) for c in ((2, 3), (2, 5)) for d in range(5, 11)]
+        # The general kernel's mask tables: coefficients repeated three
+        # times, and five-variable forms.
+        cases += [
+            (LinearForm(c), k, diameter)
+            for c in ((1, 1, 1, 2), (2, 2, 2, 3), (1, 4, 4, 4), (1, 1, 2, 3, 5), (1, 2, 4, 8, 16))
+            for k in (2, 3, 4)
+            for diameter in range(k - 1, 8)
+        ]
         for f, k, diameter in cases:
             got = search_min(f, k, diameter)
             want_best, want_wits = oracle_min(f.coeffs, k, diameter)
@@ -345,6 +459,17 @@ class TestComputeNf:
         assert (res.lower, res.best, res.exact) == (18, 22, False)
         assert [w.elems for w in res.witnesses] == [(0, 2, 3, 5, 6, 8)]
         assert res.nodes_explored == 6810
+
+    @pytest.mark.parametrize(
+        "n, k, best, nodes", [(10, 3, 111, 3081), (9, 4, 136, 9643)]
+    )
+    def test_many_coefficients_at_default_diameter(self, n, k, best, nodes):
+        # 2^n sub-multiset masks per frame still fit the bits cap at the
+        # default diameter u_total * (k - 1).
+        res = compute_nf(LinearForm(tuple(range(1, n + 1))), k)
+        assert (res.lower, res.best, res.exact) == (best, best, True)
+        assert [w.elems for w in res.witnesses] == [tuple(range(k))]
+        assert res.nodes_explored == nodes
 
     def test_exact_complete_form(self):
         res = compute_nf(LinearForm((1, 2, 3)), 4)
