@@ -11,18 +11,21 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .engine import (
+from .certificate import (
     Certificate,
+    binary_nf3_certificate,
+    check_certificate,
+    lower_certificate,
+)
+from .engine import (
     ExtremalResult,
     MaxResult,
     NfConfig,
     SearchOutcome,
-    binary_nf3_certificate,
     compute_mf,
     compute_nf,
     enumerate_minimizers,
     exact_nf2,
-    lower_certificate,
     search_min,
 )
 from .forms import (
@@ -96,6 +99,7 @@ __all__ = [
     "append_record",
     "binary_nf3_certificate",
     "canonicalize",
+    "check_certificate",
     "classify_binary",
     "complete_formula",
     "composition_vectors",

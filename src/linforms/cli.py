@@ -37,11 +37,14 @@ def cmd_nf(args: argparse.Namespace) -> int:
     diameter = search_diameter(f, args.k, args.diameter)
 
     if args.cache:
-        rec = cache_mod.lookup(args.cache, f.coeffs, args.k, diameter)
-        hit = rec is not None
-        if rec is None:
-            rec = cache_mod.record_from_result(compute_nf(f, args.k, cfg))
-            cache_mod.append_record(args.cache, rec)
+        try:
+            rec = cache_mod.lookup(args.cache, f.coeffs, args.k, diameter)
+            hit = rec is not None
+            if rec is None:
+                rec = cache_mod.record_from_result(compute_nf(f, args.k, cfg))
+                cache_mod.append_record(args.cache, rec)
+        except OSError as exc:
+            raise InputError(f"cache file {args.cache}: {exc.strerror or exc}") from None
         if args.json:
             print(json.dumps(rec.to_json()))
         else:
@@ -64,11 +67,9 @@ def cmd_nf(args: argparse.Namespace) -> int:
             f"coeffs {f}  k={res.k}  diameter {res.diameter_searched}: "
             f"min distinct values = {res.best} ({status})"
         )
-        print(
-            f"  lower {res.lower} via {res.certificate.kind} "
-            f"(ell={res.certificate.ell}, lambda={res.certificate.lam}); "
-            f"nodes {res.nodes_explored}"
-        )
+        cert = res.certificate
+        bases = f"nf2={cert.nf2}" + ("" if cert.nf3 is None else f", nf3={cert.nf3}")
+        print(f"  lower {res.lower} by block splits from {bases}; nodes {res.nodes_explored}")
         suffix = " (list capped)" if res.witness_overflow else ""
         for w in res.witnesses:
             print(f"  minimizer {_fmt_set(w.elems)}{suffix}")
@@ -172,7 +173,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_cache_dump(args: argparse.Namespace) -> int:
-    for rec in cache_mod.load_records(args.cache):
+    try:
+        records = cache_mod.load_records(args.cache)
+    except OSError as exc:
+        raise InputError(f"cache file {args.cache}: {exc.strerror or exc}") from None
+    for rec in records:
         print(json.dumps(rec.to_json()))
     return 0
 
@@ -193,7 +198,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p_nf = sub.add_parser("nf", help="certified minimum number of distinct values")
     add_form_args(p_nf)
     p_nf.add_argument("--diameter", type=int, default=None, help="search diameter (default u_total*(k-1))")
-    p_nf.add_argument("--ladder", type=int, default=4, help="largest bootstrapped exact size (default 4)")
+    p_nf.add_argument(
+        "--ladder",
+        type=int,
+        default=4,
+        help="largest base size the reported lower bound may use; 2 or less leaves out "
+        "the binary 3-set value 8 (default 4; the search is the same)",
+    )
     p_nf.add_argument("--budget-nodes", type=int, default=None, help="abort after this many search nodes")
     p_nf.add_argument("--cache", default=None, help="JSON-lines cache file")
     p_nf.add_argument("--json", action="store_true", help="machine output")

@@ -2,31 +2,28 @@
 
 The minimum image size over all k-sets is pinned from two sides.
 
-*Lower bounds* come from a block decomposition: order a k-set, cut it
-into consecutive blocks of ell elements overlapping in one point, and
-observe that each block contributes at least (its own minimum image
-size) - 1 new values, because a block whose least element is b only
-takes values in [u_total*b, u_total*(max of block)] and meets the
-previous blocks' values exactly in u_total*b.  Writing
-k - 1 = q*(ell - 1) + r with 0 <= r <= ell - 2, a ladder of exact small
-values lambda_ell yields
-
-    min image size  >=  (lambda_ell - 1) * q  +  (exact value at r + 1),
-
-which dominates the q-only form (lambda - 1)/(ell - 1) * k - lambda + 2.
-For two-variable forms with largest coefficient >= 3 a separate case
-elimination pins the 3-element minimum at exactly 8.
+*Lower bounds* come from a block decomposition: cut an ordered k-set
+into two consecutive blocks sharing one point.  A block whose least
+element is b only takes values in [u_total*b, u_total*(max of block)],
+so the blocks' images meet in exactly one value and the k-set has at
+least (values of one block) + (values of the other) - 1.  The argument
+needs only lower bounds for the blocks, never exact values, so the
+split recursion L(n) = max over a + b = n + 1 of L(a) + L(b) - 1 turns
+the free base values -- L(1) = 1, L(2) = nf2, and L(3) = 8 for
+two-variable forms with largest coefficient >= 3, by a separate case
+elimination -- into a bound for every size with no search at all
+(certificate.py, which also replays the bound).
 
 *Upper bounds* come from exhaustive search over canonical k-sets
 (least element 0, gcd 1) up to a diameter.  The search prunes with the
 same block argument run backwards: a partial set with image size v and
 t slots still open can only finish at v + cb(t) or more, where cb(t) is
-the ladder bound for t + 1 elements minus one (appending elements above
-the current maximum glues a (t+1)-block onto the partial set in a
-single shared value).  It also visits only one member of each
-mirror-image pair: the reflection d - A of a set A with maximum d has
-the same diameter, gcd and image size (f(d - A) = u_total*d - f(A)), so
-only sets whose first gap is at most their last gap are searched.
+L(t + 1) - 1 from every base value (appending elements above the
+current maximum glues a (t+1)-block onto the partial set in a single
+shared value).  It also visits only one member of each mirror-image
+pair: the reflection d - A of a set A with maximum d has the same
+diameter, gcd and image size (f(d - A) = u_total*d - f(A)), so only
+sets whose first gap is at most their last gap are searched.
 Pruning is strict, so the representative of every set achieving the
 final minimum survives; the pruned search returns the same best value
 and, up to reflection, the same witness set as naive enumeration.
@@ -50,17 +47,19 @@ import math
 import threading
 from dataclasses import dataclass
 
+from .certificate import (
+    Certificate,
+    check_certificate,
+    lower_certificate,
+    split_recursion,
+)
 from .errors import (
     BudgetExceeded,
     CapacityExceeded,
     DiameterTooSmall,
-    InconsistentKnown,
     InputError,
     LinformsError,
-    MissingBaseValue,
-    NotBinary,
     NotCertifiedExact,
-    NotCoprime,
 )
 from .forms import LinearForm, subset_sums
 from .sets import KSet, checked_elems, composition_vectors
@@ -73,41 +72,11 @@ SEARCH_BITS_CAP = 10**7
 #: search_min keeps at most this many results in memory; the oldest goes first.
 SEARCH_MEMO_ENTRIES = 4096
 
-# (coeffs, k, diameter, ladder items) -> (best, every reflection-deduplicated
-# witness, nodes) of a search that completed.
+# (coeffs, k, diameter) -> (best, every reflection-deduplicated witness,
+# nodes) of a search that completed.
 # The lock serialises eviction and insertion between caller threads.
 _search_memo: dict[tuple, tuple[int, tuple[KSet, ...], int]] = {}
 _search_memo_lock = threading.Lock()
-
-KIND_TRIVIAL = "trivial-k1"
-KIND_NF2 = "nf2-subset-sums"
-KIND_BLOCK = "lemma-block"
-KIND_BINARY_NF3 = "binary-nf3-case-analysis"
-
-
-@dataclass(frozen=True)
-class Certificate:
-    """A machine-checkable lower bound for the minimum image size.
-
-    kind identifies the argument; ell and lam are the block length and
-    the exact ell-element value it leans on; chain lists every
-    (set size, exact value) rung available when the bound was formed, so
-    the bound can be recomputed from the certificate alone.
-    """
-
-    kind: str
-    ell: int
-    lam: int
-    bound: int
-    chain: tuple[tuple[int, int], ...]
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "ell": self.ell,
-            "lambda": self.lam,
-            "chain": [list(pair) for pair in self.chain],
-        }
 
 
 @dataclass(frozen=True)
@@ -124,10 +93,11 @@ class SearchOutcome:
 class NfConfig:
     """Tuning for compute_nf.
 
-    diameter None means u_total * (k - 1); ladder_max_ell caps the
-    bootstrap of exact small values; witness_cap None keeps every
-    witness; node_budget caps the search nodes of the whole run (ladder
-    rungs and main search together), None is unlimited.
+    diameter None means u_total * (k - 1); ladder_max_ell is the largest
+    base size the reported lower bound may use (2 or less leaves out the
+    binary 3-set value 8; the search prunes with it regardless);
+    witness_cap None keeps every witness; node_budget caps the nodes of
+    the search, None is unlimited.
     """
 
     diameter: int | None = None
@@ -183,112 +153,20 @@ def exact_nf2(f: LinearForm) -> int:
     return len(subset_sums(f))
 
 
-def binary_nf3_certificate(f: LinearForm) -> Certificate | None:
-    """Exact 3-set minimum for two-variable forms beyond the first cases.
-
-    For coprime u1 <= u2 with u2 >= 3 the nine values on {a < b < c}
-    admit at most one coincidence: the orderings force any collision
-    into u1*(c - a) = u2*(b - a) or its mirror, and the arithmetic facts
-    u2 != 2*u1 and u1^2 + u1*u2 - u2^2 != 0 rule out a second collision
-    occurring together with the first.  Hence the minimum is exactly 8
-    (witnessed by {0, u1, u2}).  Returns None for (1,1) and (1,2),
-    where smaller images exist.
-    """
-    if f.m != 2:
-        raise NotBinary(f"need a two-variable form, got {f}")
-    u1, u2 = f.coeffs
-    if math.gcd(u1, u2) != 1:
-        raise NotCoprime(f"need coprime coefficients, got {f}")
-    if u2 < 3:
-        return None
-    # Both checks are consequences of coprimality with u2 >= 3; they are
-    # asserted because the exactness of 8 stands on them.
-    if u2 == 2 * u1 or u1 * u1 + u1 * u2 - u2 * u2 == 0:
-        raise LinformsError(f"internal: case analysis hypotheses fail for {f}")
-    nf2 = exact_nf2(f)
-    return Certificate(
-        kind=KIND_BINARY_NF3,
-        ell=3,
-        lam=8,
-        bound=8,
-        chain=((1, 1), (2, nf2), (3, 8)),
-    )
-
-
-def _validate_known(known: dict[int, int]) -> list[tuple[int, int]]:
-    """Check the exact-value ladder and return it sorted."""
-    if 1 not in known or 2 not in known:
-        raise MissingBaseValue("ladder must contain the 1- and 2-element values")
-    if known[1] != 1:
-        raise InconsistentKnown("the 1-element value is always 1")
-    items = sorted(known.items())
-    for (s1, v1), (s2, v2) in zip(items, items[1:]):
-        if s1 < 1:
-            raise InconsistentKnown(f"set sizes start at 1, got {s1}")
-        if v1 >= v2:
-            raise InconsistentKnown(
-                f"exact values must increase strictly with size: {s1}->{v1}, {s2}->{v2}"
-            )
-    return items
-
-
-def _block_bound(known: dict[int, int], k: int, ell: int) -> int:
-    """The refined block bound for k-sets using block length ell."""
-    lam = known[ell]
-    q, r = divmod(k - 1, ell - 1)
-    mu_size = max(s for s in known if s <= r + 1)
-    return (lam - 1) * q + known[mu_size]
-
-
 def search_diameter(f: LinearForm, k: int, diameter: int | None = None) -> int:
     """The diameter a k-set search covers: diameter, or u_total * (k - 1) if None."""
     return diameter if diameter is not None else f.u_total * (k - 1)
 
 
-def lower_certificate(f: LinearForm, k: int, known: dict[int, int]) -> Certificate:
-    """Best block-decomposition lower bound available from a ladder.
-
-    known maps set sizes to exact minimum image sizes and must contain
-    sizes 1 and 2.  The refined bound is compared rung by rung and must
-    dominate the unrefined form ((lam-1)/(ell-1))k - lam + 2; violating
-    that would mean an arithmetic slip, so it is checked outright.
-    """
-    items = _validate_known(known)
-    chain = tuple(items)
-    if k < 1:
-        raise InputError(f"need k >= 1, got {k}")
-    if k == 1:
-        return Certificate(KIND_TRIVIAL, 1, 1, 1, chain)
-    if k == 2:
-        return Certificate(KIND_NF2, 2, known[2], known[2], chain)
-    best_bound = 0
-    best_ell = 2
-    for ell, lam in items:
-        if ell < 2:
-            continue
-        bound = _block_bound(known, k, ell)
-        unrefined = -(-((lam - 1) * k) // (ell - 1)) - lam + 2
-        if bound < unrefined:
-            raise LinformsError(
-                f"internal: refined bound {bound} under unrefined {unrefined} at ell={ell}"
-            )
-        if bound > best_bound:
-            best_bound = bound
-            best_ell = ell
-    return Certificate(KIND_BLOCK, best_ell, known[best_ell], best_bound, chain)
-
-
-def _completion_bounds(known: dict[int, int], k: int) -> list[int]:
+def _completion_bounds(nf2: int, nf3: int | None, k: int) -> list[int]:
     """cb[t]: certified extra values forced by t more, larger elements.
 
     Appending t elements above the current maximum splices a (t+1)-set
     onto the partial set sharing exactly one value, so at least
-    (block bound for t+1) - 1 new values appear.  cb[t] >= t always.
+    L(t + 1) - 1 new values appear.  cb[t] >= t always.
     """
-    cb = [0] * k
-    for t in range(1, k):
-        cb[t] = max(_block_bound(known, t + 1, ell) for ell in known if ell >= 2) - 1
-    return cb
+    bounds, _ = split_recursion(nf2, nf3, k)
+    return [0] + [b - 1 for b in bounds[1:]]
 
 
 def _budget_exceeded(budget: int, nodes: int) -> BudgetExceeded:
@@ -526,18 +404,18 @@ def search_min(
     k: int,
     diameter: int,
     *,
-    known: dict[int, int] | None = None,
     witness_cap: int | None = None,
     node_budget: int | None = None,
 ) -> SearchOutcome:
     """Exhaustive minimum of |f(A)| over canonical k-sets within a diameter.
 
     One depth-first search explores {0 = a_0 < a_1 < ... < a_{k-1} <=
-    diameter, gcd 1} in lexicographic order, pruning with the ladder
-    completion bound against the best value found so far; ties with it
-    are never pruned, so the witness list is the full set of minimizers
-    (deduplicated under reflection, then capped).  The order is fixed,
-    so results and node counts are deterministic.
+    diameter, gcd 1} in lexicographic order, pruning with the
+    split-recursion completion bound (every base value) against the best
+    value found so far; ties with it are never pruned, so the witness
+    list is the full set of minimizers (deduplicated under reflection,
+    then capped).  The order is fixed, so results and node counts are
+    deterministic.
 
     Only sets whose first gap a_1 is at most their last gap are
     searched.  Reflection x -> a_{k-1} - x keeps the diameter, the gcd
@@ -548,12 +426,12 @@ def search_min(
     search, but node counts are about 0.5-0.7 times those of versions
     that searched both members of each pair.
 
-    known supplies exact small values for pruning (defaults to the sizes
-    1 and 2).  node_budget caps the nodes explored, the root {0}
-    included: the search raises BudgetExceeded on node node_budget + 1.
+    node_budget caps the nodes explored, the root {0} included: the
+    search raises BudgetExceeded on node node_budget + 1, so a budget of
+    0 always stops; a negative budget is an InputError.
 
     Completed searches are remembered per process, keyed by every input
-    that changes the outcome (coeffs, k, diameter and the ladder), up to
+    that changes the outcome (coeffs, k and diameter), up to
     SEARCH_MEMO_ENTRIES results.  A repeated search is answered from
     memory with the same outcome, node count included: the witness cap
     is applied on return, and a remembered count over node_budget raises
@@ -564,18 +442,19 @@ def search_min(
         raise InputError(f"need k >= 1, got {k}")
     if diameter < k - 1:
         raise DiameterTooSmall(f"diameter {diameter} cannot hold {k} distinct integers")
+    if node_budget is not None and node_budget < 0:
+        raise InputError(f"need a node budget >= 0, got {node_budget}")
     bits = _search_bits(f, k, diameter)
     if bits > SEARCH_BITS_CAP:
         raise CapacityExceeded(f"search masks would need {bits} bits (cap {SEARCH_BITS_CAP})")
-    if node_budget is not None and node_budget < 1:
+    if node_budget == 0:
         raise _budget_exceeded(node_budget, 1)  # the root {0}
     if k == 1:
         return SearchOutcome(best=1, witnesses=(KSet((0,)),), nodes=1)
-    ladder = dict(known) if known else {1: 1, 2: exact_nf2(f)}
-    memo_key = (f.coeffs, k, diameter, tuple(_validate_known(ladder)))
+    memo_key = (f.coeffs, k, diameter)
     hit = _search_memo.get(memo_key)
     if hit is None:
-        hit = _search(f, k, diameter, ladder, node_budget)
+        hit = _search(f, k, diameter, node_budget)
         with _search_memo_lock:
             if len(_search_memo) >= SEARCH_MEMO_ENTRIES:
                 del _search_memo[next(iter(_search_memo))]
@@ -590,14 +469,11 @@ def search_min(
 
 
 def _search(
-    f: LinearForm,
-    k: int,
-    diameter: int,
-    ladder: dict[int, int],
-    node_budget: int | None,
+    f: LinearForm, k: int, diameter: int, node_budget: int | None
 ) -> tuple[int, tuple[KSet, ...], int]:
     """The DFS behind search_min (k >= 2): best, uncapped witnesses, nodes."""
-    cb = _completion_bounds(ladder, k)
+    cert = lower_certificate(f, k)
+    cb = _completion_bounds(cert.nf2, cert.nf3, k)
     if f.m == 2:
         u1, u2 = f.coeffs
         best, raw, nodes = _explore_binary(u1, u2, k, diameter, cb, node_budget)
@@ -609,63 +485,16 @@ def _search(
 def compute_nf(f: LinearForm, k: int, config: NfConfig | None = None) -> ExtremalResult:
     """Certified bracket (exact when closed) for the k-set minimum of |f(A)|.
 
-    Bootstraps a ladder of exact small values -- sizes 1 and 2 are free,
-    each further rung is an exhaustive search at its own natural
-    diameter accepted only when it meets its certificate -- then runs
-    the main search and pairs it with the best available certificate.
+    The lower bound is the split recursion from base sizes up to
+    cfg.ladder_max_ell (lower_certificate), replayed by
+    check_certificate; the upper bound is one search_min, which alone
+    draws on the node budget.
     """
     cfg = config or NfConfig()
-    if k < 1:
-        raise InputError(f"need k >= 1, got {k}")
     diameter = search_diameter(f, k, cfg.diameter)
-    if diameter < k - 1:
-        raise DiameterTooSmall(f"diameter {diameter} cannot hold {k} distinct integers")
-
-    nodes_total = 0
-
-    def search(size: int, diam: int, witness_cap: int | None = None) -> SearchOutcome:
-        """search_min on the current ladder, charged to the run's node budget."""
-        nonlocal nodes_total
-        left = None if cfg.node_budget is None else cfg.node_budget - nodes_total
-        try:
-            out = search_min(
-                f, size, diam, known=ladder, witness_cap=witness_cap, node_budget=left
-            )
-        except BudgetExceeded as exc:
-            raise _budget_exceeded(cfg.node_budget, nodes_total + exc.nodes) from None
-        nodes_total += out.nodes
-        return out
-
-    nf2 = exact_nf2(f)
-    ladder: dict[int, int] = {1: 1, 2: nf2}
-    certs: dict[int, Certificate] = {
-        1: Certificate(KIND_TRIVIAL, 1, 1, 1, ((1, 1),)),
-        2: Certificate(KIND_NF2, 2, nf2, nf2, ((1, 1), (2, nf2))),
-    }
-
-    binary_cert = binary_nf3_certificate(f) if f.m == 2 else None
-
-    for ell in range(3, min(cfg.ladder_max_ell, k - 1) + 1):
-        cand = lower_certificate(f, ell, ladder)
-        if ell == 3 and binary_cert is not None and binary_cert.bound >= cand.bound:
-            cand = binary_cert
-        rung = search(ell, search_diameter(f, ell))
-        if rung.best < cand.bound:
-            raise LinformsError(
-                f"internal: rung {ell} search found {rung.best} under certificate {cand.bound}"
-            )
-        if rung.best == cand.bound:
-            ladder[ell] = rung.best
-            certs[ell] = cand
-
-    if k in ladder:
-        cert = certs[k]
-    else:
-        cert = lower_certificate(f, k, ladder)
-        if k == 3 and binary_cert is not None and binary_cert.bound >= cert.bound:
-            cert = binary_cert
-
-    out = search(k, diameter, cfg.witness_cap)
+    cert = lower_certificate(f, k, cfg.ladder_max_ell)
+    check_certificate(f, k, cert)
+    out = search_min(f, k, diameter, witness_cap=cfg.witness_cap, node_budget=cfg.node_budget)
     if out.best < cert.bound:
         raise LinformsError(
             f"internal: search found {out.best} under certificate {cert.bound} for {f}, k={k}"
@@ -679,7 +508,7 @@ def compute_nf(f: LinearForm, k: int, config: NfConfig | None = None) -> Extrema
         best=out.best,
         witnesses=out.witnesses,
         exact=out.best == cert.bound,
-        nodes_explored=nodes_total,
+        nodes_explored=out.nodes,
         witness_overflow=out.witness_overflow,
     )
 

@@ -24,6 +24,10 @@ class ResourceError(LinformsError):
     """A capacity or budget limit was exceeded."""
 
 
+class BadCertificate(LinformsError):
+    """A lower-bound certificate does not replay to its bound."""
+
+
 # -- input errors ------------------------------------------------------------
 
 
@@ -57,14 +61,6 @@ class NotCoprime(InputError):
 
 class NotStrictlyIncreasing(InputError):
     """Operation requires strictly increasing coefficients."""
-
-
-class MissingBaseValue(InputError):
-    """A certificate ladder must contain the base entries (sizes 1 and 2)."""
-
-
-class InconsistentKnown(InputError):
-    """Known exact values must be strictly increasing in the set size."""
 
 
 class DiameterTooSmall(InputError):

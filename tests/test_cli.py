@@ -161,7 +161,7 @@ class TestCliNf:
         obj = json.loads(out)
         assert obj["best"] == 8 and obj["exact"] is True
         assert obj["witnesses"] == [[0, 1, 3], [0, 1, 4]]
-        assert obj["certificate"]["kind"] == "binary-nf3-case-analysis"
+        assert obj["certificate"] == {"nf2": 4, "nf3": 8, "splits": [None, None, None]}
 
     def test_bracket_human(self, capsys):
         code, out, _ = run(capsys, "nf", "--coeffs", "1,3", "--k", "4")
@@ -177,6 +177,19 @@ class TestCliNf:
         code, _, err = run(capsys, "nf", "--coeffs", "1,3", "--k", "4", "--budget-nodes", "5")
         assert code == 3
         assert "budget" in err
+
+    def test_negative_budget_exit_2(self, capsys):
+        code, out, err = run(capsys, "nf", "--coeffs", "1,3", "--k", "4", "--budget-nodes", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: need a node budget >= 0, got -1\n"
+
+    def test_bad_cache_path_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing-dir" / "c.jsonl"
+        code, out, err = run(capsys, "nf", "--coeffs", "1,3", "--k", "3", "--cache", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: cache file {path}: No such file or directory\n"
+        code, _, err = run(capsys, "cache-dump", "--cache", str(tmp_path))
+        assert code == 2 and err.startswith(f"error: cache file {tmp_path}: ")
 
     def test_missing_args_exit_2(self, capsys):
         assert run(capsys, "nf", "--coeffs", "1,3")[0] == 2

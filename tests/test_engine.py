@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import sys
@@ -12,26 +13,29 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import oracle_image_size, oracle_min
+import linforms
 from linforms import engine
-from linforms.engine import (
-    Certificate,
-    NfConfig,
+from linforms.certificate import (
     binary_nf3_certificate,
+    check_certificate,
+    lower_certificate,
+    split_recursion,
+)
+from linforms.engine import (
+    NfConfig,
     clear_search_memo,
     compute_mf,
     compute_nf,
     enumerate_minimizers,
     exact_nf2,
-    lower_certificate,
     search_min,
 )
 from linforms.errors import (
+    BadCertificate,
     BudgetExceeded,
     CapacityExceeded,
     DiameterTooSmall,
-    InconsistentKnown,
     InputError,
-    MissingBaseValue,
     NotBinary,
     NotCertifiedExact,
     ValueOverflow,
@@ -54,67 +58,96 @@ class TestExactNf2:
                 assert exact_nf2(f) == oracle_image_size(f.coeffs, (0, 1))
 
 
-class TestLowerCertificate:
-    BASE = {1: 1, 2: 4}
+def test_public_names_resolve():
+    for name in linforms.__all__:
+        assert hasattr(linforms, name), name
 
+
+class TestLowerCertificate:
     def test_k1_trivial(self):
-        c = lower_certificate(LinearForm((1, 3)), 1, self.BASE)
-        assert (c.kind, c.bound) == ("trivial-k1", 1)
+        c = lower_certificate(LinearForm((1, 3)), 1)
+        assert (c.bound, c.splits) == (1, (None,))
 
     def test_k2_subset_sums(self):
-        c = lower_certificate(LinearForm((1, 3)), 2, self.BASE)
-        assert (c.kind, c.bound) == ("nf2-subset-sums", 4)
+        c = lower_certificate(LinearForm((1, 3)), 2)
+        assert (c.bound, c.nf2, c.splits) == (4, 4, (None, None))
 
     def test_block_example(self):
-        c = lower_certificate(LinearForm((1, 2)), 5, self.BASE)
-        assert (c.kind, c.ell, c.lam, c.bound) == ("lemma-block", 2, 4, 13)
-        assert c.chain == ((1, 1), (2, 4))
+        # (1,2) has no 3-set base: every size splits off a 2-block.
+        c = lower_certificate(LinearForm((1, 2)), 5)
+        assert (c.bound, c.nf2, c.nf3) == (13, 4, None)
+        assert c.splits == (None, None, 2, 2, 2)
 
     def test_longer_blocks_help(self):
         # With the exact 3-set value 8 available, k=5 jumps from 13 to 15.
-        c = lower_certificate(LinearForm((1, 3)), 5, {1: 1, 2: 4, 3: 8})
-        assert (c.ell, c.bound) == (3, 15)
+        assert lower_certificate(LinearForm((1, 3)), 5, max_base=2).bound == 13
+        c = lower_certificate(LinearForm((1, 3)), 5)
+        assert (c.nf3, c.splits[-1], c.bound) == (8, 3, 15)
 
     def test_remainder_uses_best_known_rung(self):
-        # k=6, ell=3: q=2 r=1, so the 2-set value finishes the bound.
-        c = lower_certificate(LinearForm((1, 3)), 6, {1: 1, 2: 4, 3: 8})
+        # k=6: two 3-blocks and one 2-block.
+        c = lower_certificate(LinearForm((1, 3)), 6)
         assert c.bound == 2 * 7 + 4
-
-    def test_missing_base(self):
-        with pytest.raises(MissingBaseValue):
-            lower_certificate(LinearForm((1, 2)), 3, {1: 1})
-
-    def test_inconsistent(self):
-        with pytest.raises(InconsistentKnown):
-            lower_certificate(LinearForm((1, 2)), 3, {1: 2, 2: 4})
-        with pytest.raises(InconsistentKnown):
-            lower_certificate(LinearForm((1, 2)), 3, {1: 1, 2: 4, 3: 4})
 
     def test_bad_k(self):
         with pytest.raises(InputError):
-            lower_certificate(LinearForm((1, 2)), 0, self.BASE)
+            lower_certificate(LinearForm((1, 2)), 0)
+        with pytest.raises(InputError):
+            check_certificate(LinearForm((1, 2)), 0, lower_certificate(LinearForm((1, 2)), 1))
 
     @given(
         st.integers(min_value=3, max_value=40),
         st.integers(min_value=3, max_value=9),
-        st.integers(min_value=5, max_value=12),
+        st.integers(min_value=5, max_value=17),
     )
     def test_dominates_unrefined(self, k, nf2, nf3):
-        """Refined block bound >= ceil(((lam-1)k)/(ell-1)) - lam + 2 per rung."""
-        known = {1: 1, 2: nf2, 3: max(nf3, nf2 + 1)}
-        c = lower_certificate(LinearForm((1, 2)), k, known)
-        for ell, lam in ((2, known[2]), (3, known[3])):
+        """Split bound >= ceil(((lam-1)k)/(ell-1)) - lam + 2 per base size."""
+        # An exact 3-set value is at least the 2-block bound 2*nf2 - 1.
+        nf3 = max(nf3, 2 * nf2 - 1)
+        bound = split_recursion(nf2, nf3, k)[0][-1]
+        for ell, lam in ((2, nf2), (3, nf3)):
             unrefined = -(-((lam - 1) * k) // (ell - 1)) - lam + 2
-            assert c.bound >= unrefined
+            assert bound >= unrefined
 
-    def test_json_uses_lambda_key(self):
-        c = lower_certificate(LinearForm((1, 2)), 5, self.BASE)
-        assert c.to_json() == {
-            "kind": "lemma-block",
-            "ell": 2,
-            "lambda": 4,
-            "chain": [[1, 1], [2, 4]],
-        }
+    def test_json_fields(self):
+        c = lower_certificate(LinearForm((1, 3)), 5)
+        assert c.to_json() == {"nf2": 4, "nf3": 8, "splits": [None, None, None, 2, 3]}
+
+    @given(
+        st.lists(st.integers(1, 6), min_size=1, max_size=4)
+        .map(lambda c: tuple(sorted(c)))
+        .filter(lambda t: math.gcd(*t) == 1),
+        st.integers(min_value=1, max_value=7),
+        st.sampled_from([2, 4]),
+    )
+    def test_checker_accepts_real_and_rejects_tampered(self, coeffs, k, ladder):
+        f = LinearForm(coeffs)
+        cert = compute_nf(f, k, NfConfig(diameter=k + 2, ladder_max_ell=ladder)).certificate
+        check_certificate(f, k, cert)
+
+        def rejected(**change):
+            with pytest.raises(BadCertificate):
+                check_certificate(f, k, dataclasses.replace(cert, **change))
+
+        rejected(bound=cert.bound + 1)
+        rejected(nf2=cert.nf2 + 1)
+        if f.m != 2 or coeffs[1] < 3:
+            rejected(nf3=8)
+        if cert.splits[-1] is None:
+            return  # k is a base size
+        head = cert.splits[:-1]
+        bounds = split_recursion(cert.nf2, cert.nf3, k - 1)[0]
+        for a in (None, 1, k, *range(2, k)):
+            if a in range(2, k) and bounds[a - 1] + bounds[k - a] - 1 == cert.bound:
+                continue  # another split to the same bound is a valid certificate
+            rejected(splits=(*head, a))
+
+    def test_checker_rejects_nf3_outside_the_case_analysis(self):
+        for coeffs in ((1, 1), (1, 2), (1, 2, 3)):
+            f = LinearForm(coeffs)
+            cert = lower_certificate(f, 3)
+            with pytest.raises(BadCertificate, match="3-set value 8"):
+                check_certificate(f, 3, dataclasses.replace(cert, nf3=8, splits=(None,) * 3))
 
 
 class TestBinaryNf3Certificate:
@@ -122,8 +155,9 @@ class TestBinaryNf3Certificate:
     def test_general_binaries(self, coeffs):
         c = binary_nf3_certificate(LinearForm(coeffs))
         assert c is not None
-        assert (c.kind, c.bound) == ("binary-nf3-case-analysis", 8)
-        assert c.chain == ((1, 1), (2, exact_nf2(LinearForm(coeffs))), (3, 8))
+        assert (c.bound, c.nf3, c.splits) == (8, 8, (None, None, None))
+        assert c.nf2 == exact_nf2(LinearForm(coeffs))
+        check_certificate(LinearForm(coeffs), 3, c)
 
     @pytest.mark.parametrize("coeffs", [(1, 1), (1, 2)])
     def test_first_cases_excluded(self, coeffs):
@@ -163,7 +197,7 @@ class TestSearchMin:
         out = search_min(LinearForm((2, 3)), 6, 14)
         assert out.best == 22
         assert [w.elems for w in out.witnesses] == [(0, 2, 3, 5, 6, 8)]
-        assert out.nodes == 888
+        assert out.nodes == 851
 
     def test_visits_one_of_each_mirror_pair(self):
         def visits(k, diameter):
@@ -277,6 +311,14 @@ class TestSearchMin:
             search_min(LinearForm((1, 3)), 4, 12, node_budget=5)
         assert info.value.nodes == 6
 
+    def test_negative_budget_is_input_error(self):
+        with pytest.raises(InputError, match="node budget >= 0, got -1"):
+            search_min(LinearForm((1, 3)), 4, 12, node_budget=-1)
+        with pytest.raises(InputError, match="node budget >= 0, got -1"):
+            compute_nf(LinearForm((1, 3)), 4, NfConfig(node_budget=-1))
+        with pytest.raises(BudgetExceeded):
+            compute_nf(LinearForm((1, 3)), 4, NfConfig(node_budget=0))
+
     def test_budget_stop_on_gcd_skipped_leaf(self):
         # Node 9 is {0, 2, 4}: a last element that keeps the gcd at 2 is
         # counted, so the budget still stops the search there.
@@ -292,7 +334,7 @@ class TestSearchMin:
         st.integers(min_value=0, max_value=6),
         st.integers(min_value=2, max_value=5),
         st.integers(min_value=0, max_value=6),
-        st.sampled_from(["ladder", "never", "budget"]),
+        st.sampled_from(["split", "never", "budget"]),
         st.integers(min_value=1, max_value=200),
     )
     def test_general_kernel_matches_binary(self, u1, extra, k, slack, bounds, budget):
@@ -303,7 +345,7 @@ class TestSearchMin:
             cb = [-(10**9)] * k
         else:
             nf2 = len({0, u1, u2, u1 + u2})  # the kernels take forms with any gcd
-            cb = engine._completion_bounds({1: 1, 2: nf2}, k)
+            cb = engine._completion_bounds(nf2, None, k)
         limit = budget if bounds == "budget" else None
 
         def run(explore, *coeffs):
@@ -328,12 +370,13 @@ class TestSearchMin:
         cold = search_min(f, 4, 12)
         monkeypatch.setattr(engine, "_search", None)  # a miss would now fail
         assert search_min(f, 4, 12) == cold
-        assert search_min(f, 4, 12, known={1: 1, 2: 4}) == cold
 
     def test_memo_keys_ladder(self):
-        f = LinearForm((1, 3))
-        assert search_min(f, 6, 20).nodes == 1277
-        assert search_min(f, 6, 20, known={1: 1, 2: 4, 3: 8}).nodes == 761
+        # The search always prunes with the 3-set value 8 of (1,3), so the
+        # memo key has no ladder axis.
+        clear_search_memo()
+        assert search_min(LinearForm((1, 3)), 6, 20).nodes == 761
+        assert list(engine._search_memo) == [((1, 3), 6, 20)]
 
     def test_memo_entry_bound(self, monkeypatch):
         monkeypatch.setattr(engine, "SEARCH_MEMO_ENTRIES", 2)
@@ -445,23 +488,23 @@ class TestComputeNf:
     def test_exact_binary_k3(self):
         res = compute_nf(LinearForm((1, 3)), 3)
         assert res.exact and res.best == 8 and res.lower == 8
-        assert res.certificate.kind == "binary-nf3-case-analysis"
+        assert res.certificate.nf3 == 8
         assert [w.elems for w in res.witnesses] == [(0, 1, 3), (0, 1, 4)]
 
     def test_open_bracket_reported(self):
         res = compute_nf(LinearForm((1, 3)), 4)
         assert not res.exact
         assert (res.lower, res.best) == (11, 12)
-        assert res.certificate.kind == "lemma-block"
+        assert res.certificate.splits == (None, None, None, 2)
 
     def test_minimizer_past_first_gap_one(self):
         res = compute_nf(LinearForm((2, 3)), 6)
         assert (res.lower, res.best, res.exact) == (18, 22, False)
         assert [w.elems for w in res.witnesses] == [(0, 2, 3, 5, 6, 8)]
-        assert res.nodes_explored == 6810
+        assert res.nodes_explored == 6470
 
     @pytest.mark.parametrize(
-        "n, k, best, nodes", [(10, 3, 111, 3081), (9, 4, 136, 9643)]
+        "n, k, best, nodes", [(10, 3, 111, 3081), (9, 4, 136, 7572)]
     )
     def test_many_coefficients_at_default_diameter(self, n, k, best, nodes):
         # 2^n sub-multiset masks per frame still fit the bits cap at the
@@ -481,6 +524,7 @@ class TestComputeNf:
         deep = compute_nf(LinearForm((1, 3)), 4)
         assert shallow.best == deep.best == 12
         assert shallow.lower == 10 and deep.lower == 11
+        assert shallow.nodes_explored == deep.nodes_explored  # the same search
 
     def test_custom_diameter(self):
         res = compute_nf(LinearForm((1, 3)), 3, NfConfig(diameter=4))
@@ -513,7 +557,7 @@ class TestComputeNf:
         ]
         assert out["coeffs"] == [1, 3]
         assert out["witnesses"] == [[0, 1, 3], [0, 1, 4]]
-        assert out["certificate"]["lambda"] == 8
+        assert out["certificate"] == {"nf2": 4, "nf3": 8, "splits": [None, None, None]}
 
     def test_deterministic_across_runs(self):
         outs = []
@@ -521,23 +565,36 @@ class TestComputeNf:
             clear_search_memo()
             outs.append(compute_nf(LinearForm((1, 2, 4)), 4).to_json())
         assert outs[0] == outs[1] == outs[2]
-        assert outs[0]["nodes"] == 238
+        assert outs[0]["nodes"] == 181
         assert compute_nf(LinearForm((1, 2, 4)), 4).to_json() == outs[0]
 
     @pytest.mark.parametrize(
-        "coeffs,k,nodes", [((1, 5), 6, 18242), ((2, 3, 5), 5, 6912), ((1, 3, 4, 4), 5, 2699)]
+        "coeffs,k,nodes", [((1, 5), 6, 17674), ((2, 3, 5), 5, 5552), ((1, 3, 4, 4), 5, 2008)]
     )
     def test_kernel_node_totals(self, coeffs, k, nodes):
-        # The benchmark's tiny nf-deep instances: both kernels, every rung.
+        # The benchmark's tiny nf-deep instances: both kernels.
         assert compute_nf(LinearForm(coeffs), k).nodes_explored == nodes
 
     def test_budget_counts_whole_run(self):
-        # Rungs and the main search draw on one countdown, so the run
-        # stops on node budget + 1 instead of finishing each search.
+        # The run's one search stops on node budget + 1.
         with pytest.raises(BudgetExceeded) as info:
             compute_nf(LinearForm((2, 5)), 7, NfConfig(node_budget=300_000))
-        assert info.value.nodes <= 300_001
+        assert info.value.nodes == 300_001
         assert str(info.value) == f"node budget 300000 exhausted ({info.value.nodes} nodes)"
+
+    def test_one_search_per_run(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(search_min(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(engine, "search_min", counting)
+        for coeffs, k in [((1, 3), 2), ((1, 3), 5), ((1, 2, 4), 4), ((2, 3, 5), 5), ((1, 5), 6)]:
+            calls.clear()
+            res = compute_nf(LinearForm(coeffs), k)
+            assert len(calls) == 1, (coeffs, k)
+            assert res.nodes_explored == calls[0].nodes
 
     @given(
         st.lists(st.integers(1, 4), min_size=1, max_size=3)
