@@ -45,8 +45,6 @@ from .sets import (
     composition_vectors,
     image,
     image_mask,
-    image_via_compositions,
-    image_via_tuples,
     is_arithmetic_progression,
     reflect_canonical,
 )
@@ -111,8 +109,6 @@ __all__ = [
     "has_distinct_subset_sums",
     "image",
     "image_mask",
-    "image_via_compositions",
-    "image_via_tuples",
     "is_arithmetic_progression",
     "is_complete",
     "load_records",

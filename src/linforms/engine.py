@@ -34,10 +34,9 @@ No node rebuilds its image: each extends masks its parent kept, at
 When the certified lower bound meets the searched minimum the value is
 exact; otherwise the honest answer is the bracket [lower, best].
 
-The maximum image size needs no search: distinct values correspond
-one-to-one with distinct coefficient-mass vectors once the k-set is
-geometric with a base larger than any digit, so the maximum equals the
-number of composition vectors and {1, g, g^2, ...} witnesses it.
+The maximum image size needs no search: no k-set has more values than
+there are coefficient-mass vectors, and a geometric set G with a base
+above every digit has one value per vector, so the maximum is |f(G)|.
 """
 
 from __future__ import annotations
@@ -62,8 +61,8 @@ from .errors import (
     NotCertifiedExact,
 )
 from .forms import LinearForm, subset_sums
-from .sets import KSet, checked_elems, composition_vectors
-from .sets import image  # noqa: F401  (bench/test_smoke.py traces engine.image)
+from .sets import KSet, checked_elems, image
+from .sets import composition_vectors  # noqa: F401  (only bench/test_smoke.py binds it)
 
 #: The masks one search keeps may span at most this many bits in total
 #: (_search_bits), checked before the search starts.
@@ -381,15 +380,19 @@ def _reflection_reps(raw: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
 def _search_bits(f: LinearForm, k: int, diameter: int) -> int:
     """The bits search_min checks against SEARCH_BITS_CAP for k-sets within diameter.
 
-    The image of a set spans at most u_total * diameter + 1 bits.  For
-    k = 1 and two-variable forms it is the one mask counted.  The
+    The image of a set spans at most u_total * diameter + 1 bits; for
+    k = 1 it is the one mask counted.  The binary kernel keeps D1, D2
+    and M (2 * u_total * diameter + 3 bits) per set size: the root {0}'s
+    are one bit each, then k - 1 frames of sets within the diameter.  The
     general kernel keeps a frame per set size below k (_frame_bits):
     the root {0}, whose masks are all {0}, and k - 2 frames of sets
     within the diameter; the last level adds one image at a time.
     """
     image_bits = f.u_total * diameter + 1
-    if f.m == 2 or k == 1:
+    if k == 1:
         return image_bits
+    if f.m == 2:
+        return 3 + (k - 1) * (2 * image_bits + 1)
     return _frame_bits(f, 0) + (k - 2) * _frame_bits(f, diameter) + image_bits
 
 
@@ -428,7 +431,9 @@ def search_min(
 
     node_budget caps the nodes explored, the root {0} included: the
     search raises BudgetExceeded on node node_budget + 1, so a budget of
-    0 always stops; a negative budget is an InputError.
+    0 always stops; a negative budget is an InputError.  witness_cap
+    keeps the first witness_cap witnesses (0 keeps none); a negative
+    cap is an InputError.
 
     Completed searches are remembered per process, keyed by every input
     that changes the outcome (coeffs, k and diameter), up to
@@ -444,6 +449,8 @@ def search_min(
         raise DiameterTooSmall(f"diameter {diameter} cannot hold {k} distinct integers")
     if node_budget is not None and node_budget < 0:
         raise InputError(f"need a node budget >= 0, got {node_budget}")
+    if witness_cap is not None and witness_cap < 0:
+        raise InputError(f"need a witness cap >= 0, got {witness_cap}")
     bits = _search_bits(f, k, diameter)
     if bits > SEARCH_BITS_CAP:
         raise CapacityExceeded(f"search masks would need {bits} bits (cap {SEARCH_BITS_CAP})")
@@ -514,26 +521,18 @@ def compute_nf(f: LinearForm, k: int, config: NfConfig | None = None) -> Extrema
 
 
 def compute_mf(f: LinearForm, k: int) -> MaxResult:
-    """Exact k-set maximum of |f(A)|, with a verified geometric witness.
+    """Exact k-set maximum of |f(A)|, measured on its geometric witness.
 
-    The maximum equals the number of composition vectors: no set does
-    better (values are determined by mass vectors), and {g^0, ..., g^{k-1}}
-    with g = m * u_m + 1 achieves it, because every value's base-g digits
-    (each at most u_total < g) recover its mass vector.  The witness is
-    verified before returning: its values sum(s_t * g^t) over the
-    vectors already enumerated must be pairwise distinct.
+    A value is determined by the coefficient mass on each element, so no
+    k-set beats the number of mass vectors; G = {g^0, ..., g^{k-1}} with
+    g = m * u_m + 1 reaches it, as every base-g digit of a value of f(G)
+    is one element's mass, at most u_total < g.  The value is |f(G)|.
     """
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
-    vectors = composition_vectors(f, k)
     g = f.m * f.coeffs[-1] + 1
     witness = checked_elems(f, (g**i for i in range(k)))
-    achieved = len({sum(s * a for s, a in zip(vec, witness)) for vec in vectors})
-    if achieved != len(vectors):
-        raise LinformsError(
-            f"internal: geometric witness hit {achieved} values, expected {len(vectors)}"
-        )
-    return MaxResult(value=len(vectors), witness=witness, base=g)
+    return MaxResult(value=image(f, witness).size, witness=witness, base=g)
 
 
 def enumerate_minimizers(f: LinearForm, k: int, diameter: int | None = None) -> tuple[KSet, ...]:

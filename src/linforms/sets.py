@@ -9,19 +9,22 @@ least element 0, positive gcd of the elements equal to 1.  Reflecting a
 canonical set through its diameter is the one leftover symmetry, so
 witness lists are deduplicated under reflection as well.
 
-Images are computed through composition vectors: an argument tuple only
-matters through how much coefficient mass lands on each element of A,
-so the k^m tuples collapse to the distinct vectors s with
-f(a) = sum_t s_t * A_t.  The direct tuple enumeration is kept alongside
-as an oracle, and a big-integer bitmask path serves size-only queries on
-non-negative sets.
+Images are computed by one primitive, the dilate chain: start from
+V = {0} and, for each coefficient u, replace V by { v + u*a : v in V,
+a in A }.  An argument tuple only matters through how much coefficient
+mass lands on each element of A, so f(A) = { sum_t s_t * A_t } over
+the mass (composition) vectors s.  On a geometric set {1, g, ...,
+g^(k-1)} with g > u_total the base-g digits of a value are its mass
+vector, so the same chain lists the vectors, and the image of such a
+set is as large as an image can be.  The chain's bitmask form
+(image_mask) serves size-only queries on non-negative sets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby, product
+from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -33,8 +36,15 @@ from .errors import (
 )
 from .forms import LinearForm
 
-#: Refuse composition-vector enumerations beyond this many raw candidates.
-DEFAULT_CV_CAPACITY = 10**7
+#: One image or list of mass vectors may take at most this many bytes
+#: (_check_image_bytes), checked before anything is built.
+IMAGE_BYTES_CAP = 2**30
+
+# Bytes per value beyond its int and vector (set slots of the chain's last
+# two sets, the sorted result), above the largest tracemalloc peak
+# measured, 91 B (CHANGES.md); and of a tuple and its slot beyond items.
+_VALUE_BYTES = 96
+_TUPLE_BYTES = 64
 
 #: Values must stay inside signed 64-bit range (the wire format's promise).
 INT64_MAX = (1 << 63) - 1
@@ -144,53 +154,63 @@ def is_arithmetic_progression(elems: Sequence[int]) -> bool:
     return all(b - a == step for a, b in zip(xs, xs[1:]))
 
 
-def _runs(f: LinearForm) -> list[tuple[int, int]]:
-    """Coefficient runs as (value, multiplicity), ascending."""
-    return [(value, len(list(grp))) for value, grp in groupby(f.coeffs)]
+def _check_image_bytes(f: LinearForm, xs: Sequence[int], vector_len: int = 0) -> None:
+    """CapacityExceeded if f(xs), xs sorted, could take over IMAGE_BYTES_CAP bytes.
+
+    Values number at most the mass vectors, the product over runs of c
+    equal coefficients of C(c + k - 1, k - 1), and at most the range
+    u_total * (max - min) + 1.  Each takes _VALUE_BYTES, its int object
+    (28 bytes and 4 per 30 bits) and, if vector_len, a decoded tuple of
+    vector_len digits, separate objects once digits pass 256.
+    """
+    k = len(xs)
+    runs = [len(list(run)) for _, run in groupby(f.coeffs)]
+    count = min(
+        math.prod(math.comb(c + k - 1, k - 1) for c in runs), f.u_total * (xs[-1] - xs[0]) + 1
+    )
+    bits = (max(abs(xs[0]), abs(xs[-1])) * f.u_total).bit_length()
+    per_value = _VALUE_BYTES + 28 + 4 * (bits // 30)
+    if vector_len:
+        per_value += _TUPLE_BYTES + (8 if f.u_total <= 256 else 40) * vector_len
+    if count * per_value > IMAGE_BYTES_CAP:
+        raise CapacityExceeded(
+            f"{count} values of {bits} bits would need {count * per_value} bytes "
+            f"(cap {IMAGE_BYTES_CAP})"
+        )
 
 
-def _weak_compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """All k-tuples of non-negative integers summing to n."""
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _weak_compositions(n - first, k - 1):
-            yield (first,) + rest
+def _dilate_chain(f: LinearForm, xs: Sequence[int]) -> set[int]:
+    """The values sum_i u_i * x_i over xs: from {0}, add u * xs per coefficient u.
+
+    Each set is the image of the form cut to its first coefficients, so
+    none holds more values than _check_image_bytes counts.
+    """
+    values = {0}
+    for u in f.coeffs:
+        steps = [u * a for a in xs]
+        values = {v + s for v in values for s in steps}
+    return values
 
 
-def composition_vectors(
-    f: LinearForm, k: int, capacity: int = DEFAULT_CV_CAPACITY
-) -> tuple[CompositionVector, ...]:
+def composition_vectors(f: LinearForm, k: int) -> tuple[CompositionVector, ...]:
     """All distinct mass vectors s with f(a) = sum_t s_t * A_t, sorted.
 
-    Equal coefficients are interchangeable, so candidates are built per
-    run of equal coefficients (a multiset split each) instead of per
-    argument tuple; distinct runs can still collide, hence the final
-    dedup.  The raw candidate count (product of per-run split counts) is
-    checked against ``capacity`` before enumerating.
+    Read off the image of the geometric set {g^(k-1), ..., g, 1}, with
+    g = 2^b the least power of two above u_total: the base-g digits of a
+    value are the coefficient mass on each element, each at most
+    u_total < g, so distinct values are distinct vectors and ascending
+    values are vectors in lexicographic order.  Values are Python ints,
+    so there is no 64-bit limit; their bytes are capped (_check_image_bytes).
     """
     if k <= 0:
         raise EmptyInput(f"need k >= 1, got {k}")
-    runs = _runs(f)
-    raw = math.prod(math.comb(c + k - 1, k - 1) for _, c in runs)
-    if raw > capacity:
-        raise CapacityExceeded(f"{raw} raw composition vectors exceed the cap {capacity}")
-    # The count cap alone admits allocations of raw tuples of length k;
-    # bound the cell total too so a passing check cannot exhaust memory.
-    if raw * k > 8 * capacity:
-        raise CapacityExceeded(
-            f"{raw} vectors of length {k} exceed the memory cap of {8 * capacity} cells"
-        )
-    acc: set[tuple[int, ...]] = {(0,) * k}
-    for value, count in runs:
-        splits = [s for s in _weak_compositions(count, k)]
-        acc = {
-            tuple(b + value * s for b, s in zip(bins, split))
-            for bins in acc
-            for split in splits
-        }
-    return tuple(sorted(acc))
+    b = f.u_total.bit_length()
+    shifts = [b * t for t in reversed(range(k))]
+    digit = (1 << b) - 1
+    xs = [1 << (b * t) for t in range(k)]
+    _check_image_bytes(f, xs, vector_len=k)
+    values = sorted(_dilate_chain(f, xs))
+    return tuple(tuple((v >> s) & digit for s in shifts) for v in values)
 
 
 def checked_elems(f: LinearForm, elems: Iterable[int]) -> tuple[int, ...]:
@@ -207,33 +227,11 @@ def checked_elems(f: LinearForm, elems: Iterable[int]) -> tuple[int, ...]:
     return tuple(xs)
 
 
-def image_via_compositions(
-    f: LinearForm, elems: Iterable[int], capacity: int = DEFAULT_CV_CAPACITY
-) -> ValueSet:
-    """Image through composition vectors (the default path)."""
+def image(f: LinearForm, elems: Iterable[int]) -> ValueSet:
+    """The image f(A) as a ValueSet, by the dilate chain (_dilate_chain)."""
     xs = checked_elems(f, elems)
-    k = len(xs)
-    values = {sum(s * a for s, a in zip(vec, xs)) for vec in composition_vectors(f, k, capacity)}
-    return ValueSet(values=tuple(sorted(values)))
-
-
-def image_via_tuples(f: LinearForm, elems: Iterable[int]) -> ValueSet:
-    """Image by direct enumeration of all k^m argument tuples (oracle path)."""
-    xs = checked_elems(f, elems)
-    values = {sum(u * a for u, a in zip(f.coeffs, tup)) for tup in product(xs, repeat=f.m)}
-    return ValueSet(values=tuple(sorted(values)))
-
-
-def image(f: LinearForm, elems: Iterable[int], capacity: int = DEFAULT_CV_CAPACITY) -> ValueSet:
-    """The image f(A) as a ValueSet.
-
-    Dispatches to direct tuple enumeration when the form has very few
-    variables (where it is at least as cheap) and to the composition
-    path otherwise; the two agree everywhere.
-    """
-    if f.m <= 2:
-        return image_via_tuples(f, elems)
-    return image_via_compositions(f, elems, capacity)
+    _check_image_bytes(f, xs)
+    return ValueSet(values=tuple(sorted(_dilate_chain(f, xs))))
 
 
 def image_mask(f: LinearForm, elems: Sequence[int]) -> int:

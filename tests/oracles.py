@@ -1,10 +1,10 @@
 """Independent oracles for checking the engine.
 
-Everything here deliberately avoids the package's bitmask images,
-completion-bound pruning and depth-first search: image sizes come
-from a plain product loop and minima from full enumeration of canonical
-sets, so engine results are always checked against a second, dumber
-code path.
+Everything here deliberately avoids the package's dilate chain, bitmask
+images, completion-bound pruning and depth-first search: images and
+mass vectors come from a plain product loop over argument tuples and
+minima from full enumeration of canonical sets, so engine results are
+always checked against a second, dumber code path.
 """
 
 from __future__ import annotations
@@ -24,6 +24,20 @@ def oracle_image(coeffs, elems) -> set[int]:
 
 def oracle_image_size(coeffs, elems) -> int:
     return len(oracle_image(coeffs, elems))
+
+
+def oracle_mass_vectors(coeffs, k: int) -> tuple[tuple[int, ...], ...]:
+    """Distinct mass vectors via the definition: every k^m index tuple.
+
+    Variable j placed on element i adds its coefficient to slot i.
+    """
+    vectors = set()
+    for tup in itertools.product(range(k), repeat=len(coeffs)):
+        s = [0] * k
+        for u, i in zip(coeffs, tup):
+            s[i] += u
+        vectors.add(tuple(s))
+    return tuple(sorted(vectors))
 
 
 def canonical_ksets(k: int, diameter: int):

@@ -13,7 +13,7 @@ import random
 import time
 from pathlib import Path
 
-from oracles import oracle_min, random_form_coeffs, random_kset
+from oracles import oracle_image, oracle_image_size, oracle_min, random_form_coeffs, random_kset
 from linforms.engine import (
     clear_search_memo,
     compute_mf,
@@ -24,12 +24,7 @@ from linforms.engine import (
 )
 from linforms.explorer import scan_ap_minimizer_converse, scan_completeness_converse
 from linforms.forms import LinearForm, enumerate_normalized, is_complete, subset_sums
-from linforms.sets import (
-    image,
-    image_via_compositions,
-    image_via_tuples,
-    is_arithmetic_progression,
-)
+from linforms.sets import image, is_arithmetic_progression
 from linforms.theory import complete_formula, nstar_formula
 
 DATA = Path(__file__).parent / "data"
@@ -140,7 +135,7 @@ def test_criterion_6_maximum_results():
         m = len(coeffs)
         assert math.comb(k, m) <= res.value <= k**m, (coeffs, k, res.value)
         assert len(res.witness) == k
-        assert image_via_tuples(f, res.witness).size == res.value
+        assert oracle_image_size(coeffs, res.witness) == res.value
     assert time.monotonic() - t0 <= 30.0
 
 
@@ -166,7 +161,7 @@ def test_criterion_7_oracle_equivalence():
 
 
 def test_criterion_8_property_suite():
-    """Affine invariance, monotonicity, symmetry, dual paths, determinism."""
+    """Affine invariance, monotonicity, symmetry, oracle images, determinism."""
     t0 = time.monotonic()
     rng = random.Random(777)
 
@@ -199,14 +194,11 @@ def test_criterion_8_property_suite():
         s = subset_sums(f)
         assert all(((n in s) == ((f.u_total - n) in s)) for n in range(f.u_total + 1))
 
-    # dual-path image equality on 200 random (f, A)
+    # the image equals the tuple oracle on 200 random (f, A)
     for _ in range(200):
         f = LinearForm(random_form_coeffs(rng, max_m=3, max_coeff=6))
         elems = random_kset(rng, rng.randint(1, 6), lo=-30, hi=30)
-        assert (
-            image_via_compositions(f, elems).values
-            == image_via_tuples(f, elems).values
-        )
+        assert image(f, elems).values == tuple(sorted(oracle_image(f.coeffs, elems)))
 
     # byte-identical results and pinned node counts across repeated cold
     # runs, and from the search memo

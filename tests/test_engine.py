@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import oracle_image_size, oracle_min
+from oracles import oracle_image_size, oracle_mass_vectors, oracle_min
 import linforms
-from linforms import engine
+from linforms import engine, sets
 from linforms.certificate import (
     binary_nf3_certificate,
     check_certificate,
@@ -40,8 +40,8 @@ from linforms.errors import (
     NotCertifiedExact,
     ValueOverflow,
 )
-from linforms.forms import LinearForm, enumerate_normalized
-from linforms.sets import composition_vectors, image
+from linforms.forms import LinearForm, enumerate_normalized, normalize_form
+from linforms.sets import image
 
 
 class TestExactNf2:
@@ -300,11 +300,51 @@ class TestSearchMin:
             sys.setprofile(None)
         assert 0 < peak <= engine._search_bits(f, k, diameter)
 
+    def test_bits_bound_the_binary_masks_kept(self):
+        # At every return from the binary kernel, D1, D2 and M of the
+        # frames on the stack, and the masks of the returning frame's
+        # last child, fit the count the cap checks; they span more bits
+        # than one image.
+        peak = 0
+
+        def profile(frame, event, arg):
+            nonlocal peak
+            if event != "return" or frame.f_code.co_name != "rec":
+                return
+            masks = {}
+            while frame is not None:
+                if frame.f_code.co_name == "rec":
+                    for name in ("D1", "D2", "M", "D1e", "Me"):
+                        M = frame.f_locals.get(name)
+                        if M is not None:
+                            masks[id(M)] = M.bit_length()
+                frame = frame.f_back
+            peak = max(peak, sum(masks.values()))
+
+        for coeffs, k, diameter in (((1, 3), 5, 9), ((2, 5), 4, 12)):
+            f = LinearForm(coeffs)
+            peak = 0
+            clear_search_memo()
+            sys.setprofile(profile)
+            try:
+                search_min(f, k, diameter)
+            finally:
+                sys.setprofile(None)
+            assert f.u_total * diameter + 1 < peak <= engine._search_bits(f, k, diameter)
+        assert engine._search_bits(LinearForm((1, 99)), 10, 100) == 180_030
+
     def test_witness_cap_overflow_flag(self):
         out = search_min(LinearForm((1, 3)), 3, 9, witness_cap=1)
         assert out.best == 8
         assert [w.elems for w in out.witnesses] == [(0, 1, 3)]
         assert out.witness_overflow
+
+    def test_negative_witness_cap_is_input_error(self):
+        # A negative cap would slice from the end and drop minimizers.
+        with pytest.raises(InputError, match="witness cap >= 0, got -1"):
+            search_min(LinearForm((1, 3)), 3, 9, witness_cap=-1)
+        out = search_min(LinearForm((1, 3)), 3, 9, witness_cap=0)
+        assert out.best == 8 and out.witnesses == () and out.witness_overflow
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded) as info:
@@ -491,6 +531,10 @@ class TestComputeNf:
         assert res.certificate.nf3 == 8
         assert [w.elems for w in res.witnesses] == [(0, 1, 3), (0, 1, 4)]
 
+    def test_negative_witness_cap_is_input_error(self):
+        with pytest.raises(InputError, match="witness cap >= 0, got -1"):
+            compute_nf(LinearForm((1, 3)), 3, NfConfig(witness_cap=-1))
+
     def test_open_bracket_reported(self):
         res = compute_nf(LinearForm((1, 3)), 4)
         assert not res.exact
@@ -645,18 +689,28 @@ class TestComputeMf:
         with pytest.raises(ValueOverflow):
             compute_mf(LinearForm((1, 9)), 16)
 
-    def test_vectors_enumerated_once(self, monkeypatch):
-        calls = []
-
-        def counting(f, k, *args):
-            calls.append((f.coeffs, k))
-            return composition_vectors(f, k, *args)
-
-        monkeypatch.setattr(engine, "composition_vectors", counting)
+    def test_never_enumerates_vectors(self, monkeypatch):
+        # The maximum is measured on the witness; no vector list is built.
+        monkeypatch.setattr(sets, "composition_vectors", None)
+        monkeypatch.setattr(engine, "composition_vectors", None)
         for coeffs, k in [((1, 2), 5), ((1, 2, 3), 4), ((1, 1, 2, 3), 3)]:
-            calls.clear()
-            compute_mf(LinearForm(coeffs), k)
-            assert calls == [(coeffs, k)]
+            assert compute_mf(LinearForm(coeffs), k).value == len(
+                oracle_mass_vectors(coeffs, k)
+            )
+
+    @given(
+        st.lists(st.integers(1, 7), min_size=1, max_size=4).map(normalize_form),
+        st.integers(min_value=1, max_value=5),
+    )
+    def test_value_is_vector_count_and_witness_image(self, f, k):
+        res = compute_mf(f, k)
+        assert res.value == len(oracle_mass_vectors(f.coeffs, k))
+        assert res.value == oracle_image_size(f.coeffs, res.witness)
+
+    def test_six_distinct_coefficients_k10(self):
+        res = compute_mf(LinearForm((1, 2, 3, 4, 5, 6)), 10)
+        assert (res.value, res.base) == (720_190, 37)
+        assert res.witness == tuple(37**i for i in range(10))
 
 
 class TestEnumerateMinimizers:

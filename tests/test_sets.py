@@ -1,4 +1,4 @@
-"""Sets: canonical forms, images along both paths, composition vectors."""
+"""Sets: canonical forms, images by the dilate chain, composition vectors."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import oracle_image
+from oracles import oracle_image, oracle_mass_vectors
+from linforms import sets
 from linforms.errors import (
     CapacityExceeded,
     DuplicateElements,
@@ -23,8 +24,6 @@ from linforms.sets import (
     composition_vectors,
     image,
     image_mask,
-    image_via_compositions,
-    image_via_tuples,
     is_arithmetic_progression,
     parse_elements,
     reflect_canonical,
@@ -35,6 +34,9 @@ int_sets = st.lists(
     st.integers(min_value=-200, max_value=200), min_size=1, max_size=7, unique=True
 )
 small_forms = st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=3).map(
+    lambda raw: normalize_form(raw)
+)
+wide_forms = st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=6).map(
     lambda raw: normalize_form(raw)
 )
 
@@ -144,20 +146,26 @@ class TestCompositionVectors:
         # all-ones => binomial counts
         assert len(composition_vectors(LinearForm((1, 1, 1)), 4)) == 20
 
-    def test_capacity_count(self):
-        # seven distinct coefficients at k=30: 30^7 raw candidates
-        with pytest.raises(CapacityExceeded):
+    def test_capacity_count(self, monkeypatch):
+        # seven distinct coefficients at k=30: up to 30^7 vectors
+        monkeypatch.setattr(sets, "_dilate_chain", None)  # building would now fail
+        with pytest.raises(CapacityExceeded, match=r"^21870000000 values"):
             composition_vectors(LinearForm((1, 2, 3, 4, 5, 6, 7)), 30)
 
-    def test_capacity_cells(self):
-        # 200^3 = 8e6 candidates pass the count cap, but each is a
-        # 200-tuple; the cell guard must refuse before allocating.
-        with pytest.raises(CapacityExceeded):
+    def test_capacity_cells(self, monkeypatch):
+        # 200^3 = 8e6 vectors, each a 200-tuple decoded from a 600-bit
+        # value: the byte cap refuses before the chain runs.
+        monkeypatch.setattr(sets, "_dilate_chain", None)
+        with pytest.raises(CapacityExceeded, match=r"^8000000 values of 600 bits"):
             composition_vectors(LinearForm((1, 2, 4)), 200)
 
     def test_bad_k(self):
         with pytest.raises(EmptyInput):
             composition_vectors(LinearForm((1, 2)), 0)
+
+    @given(small_forms, st.integers(min_value=1, max_value=5))
+    def test_matches_oracle(self, f, k):
+        assert composition_vectors(f, k) == oracle_mass_vectors(f.coeffs, k)
 
     @given(small_forms, st.integers(min_value=1, max_value=4))
     def test_rows_sum_to_u_total_mass(self, f, k):
@@ -184,15 +192,19 @@ class TestImages:
         with pytest.raises(ValueOverflow):
             image(LinearForm((1, 1)), [0, 2**62])
 
-    @given(small_forms, int_sets)
-    def test_dual_path_equality(self, f, xs):
-        via_c = image_via_compositions(f, xs).values
-        via_t = image_via_tuples(f, xs).values
-        assert via_c == via_t
-
-    @given(small_forms, int_sets)
+    @given(wide_forms, st.lists(st.integers(-200, 200), min_size=1, max_size=5, unique=True))
     def test_matches_oracle(self, f, xs):
-        assert set(image(f, xs).values) == oracle_image(f.coeffs, xs)
+        assert image(f, xs).values == tuple(sorted(oracle_image(f.coeffs, xs)))
+
+    def test_capacity(self, monkeypatch):
+        # (1, 2, 4) on 300 elements could take 300^3 values, but on a
+        # progression at most 7 * 299 + 1: that one is built, fifth
+        # powers are refused before the chain runs.
+        f = LinearForm((1, 2, 4))
+        assert image(f, range(300)).size == 7 * 299 + 1
+        monkeypatch.setattr(sets, "_dilate_chain", None)
+        with pytest.raises(CapacityExceeded, match=r"^27000000 values of 44 bits"):
+            image(f, [a**5 for a in range(300)])
 
     @given(
         small_forms,
