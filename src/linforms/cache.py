@@ -8,7 +8,13 @@ stderr: an interrupted append must never poison earlier results.
 
 Each process indexes a file once and reads it again only when its
 device, inode, size or modification time changes, whether through an
-append of its own, another writer or a truncation.
+append of its own, another writer or a truncation.  The index keeps the
+bytes it has indexed, through the last newline (about the file's size).
+When the file read again starts with them, only the whole lines after
+them are parsed, so an append costs only its own lines; otherwise
+(truncation, rewrite in place, replacement) the index is rebuilt from
+the whole file.  A last line with no newline yet is parsed on every
+re-read, as a full pass would parse it, but never kept.
 """
 
 from __future__ import annotations
@@ -17,9 +23,11 @@ import fcntl
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .engine import ExtremalResult
@@ -96,15 +104,49 @@ def record_from_json(obj: dict) -> CacheRecord:
 
 
 def append_record(path: str | Path, record: CacheRecord) -> None:
-    """Append one record under an advisory exclusive lock."""
-    line = json.dumps(record.to_json()) + "\n"
-    with open(path, "a", encoding="utf-8") as fh:
+    """Append one record under an advisory exclusive lock.
+
+    A file that does not end in a newline (an interrupted append) gets
+    one first, so the record starts a line of its own.
+    """
+    line = (json.dumps(record.to_json()) + "\n").encode("utf-8")
+    with open(path, "ab+") as fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
         try:
+            size = fh.seek(0, os.SEEK_END)
+            if size:
+                fh.seek(size - 1)
+                if fh.read(1) != b"\n":
+                    line = b"\n" + line
             fh.write(line)
             fh.flush()
         finally:
             fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+
+
+def _parse_lines(p: Path, lines: list[bytes], first_lineno: int) -> Iterator[CacheRecord]:
+    """Records of `lines` in order, the first numbered `first_lineno`.
+
+    Blank lines are skipped; corrupt ones (bad UTF-8, bad or too deeply
+    nested JSON, wrong shape) are skipped with a warning on stderr.
+    """
+    for lineno, raw in enumerate(lines, start=first_lineno):
+        try:
+            text = raw.decode("utf-8").strip()
+            if not text:
+                continue
+            rec = record_from_json(json.loads(text))
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
+            print(f"warning: {p}:{lineno}: skipping corrupt cache line ({exc})", file=sys.stderr)
+            continue
+        yield rec
+
+
+def _index_records(index: dict[CacheKey, CacheRecord], records: Iterable[CacheRecord]) -> None:
+    """Let each current-version record win its key over earlier ones."""
+    for rec in records:
+        if rec.tool_version == __version__:
+            index[rec.key] = rec
 
 
 def load_records(path: str | Path) -> list[CacheRecord]:
@@ -112,21 +154,41 @@ def load_records(path: str | Path) -> list[CacheRecord]:
     p = Path(path)
     if not p.exists():
         return []
-    records: list[CacheRecord] = []
-    with open(p, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(record_from_json(json.loads(line)))
-            except (ValueError, KeyError, TypeError) as exc:
-                print(f"warning: {p}:{lineno}: skipping corrupt cache line ({exc})", file=sys.stderr)
-    return records
+    return list(_parse_lines(p, p.read_bytes().splitlines(), 1))
 
 
-# path -> (file stamp when read, latest current-version record per key)
-_indexes: dict[str, tuple[tuple[int, int, int, int], dict[CacheKey, CacheRecord]]] = {}
+class _Index(NamedTuple):
+    """What one process knows of one cache file."""
+
+    stamp: tuple[int, int, int, int]  # (dev, ino, size, mtime_ns) when read
+    kept: bytes  # the bytes indexed, through the last newline
+    lines: int  # number of lines in `kept`
+    records: dict[CacheKey, CacheRecord]  # latest current-version record per key in `kept`
+    view: dict[CacheKey, CacheRecord]  # `records` updated with an unterminated last line
+
+
+_indexes: dict[str, _Index] = {}
+
+
+def _read_index(path: str | Path, stamp: tuple[int, int, int, int], old: _Index | None) -> _Index:
+    """The index of the file now; extends `old` when the file starts with its bytes."""
+    p = Path(path)
+    data = p.read_bytes()
+    end = data.rfind(b"\n") + 1
+    if old is not None and data.startswith(old.kept):
+        records, lines = old.records, old.lines
+        new = data[len(old.kept) : end].splitlines()
+    else:
+        records, lines = {}, 0
+        new = data[:end].splitlines()
+    _index_records(records, _parse_lines(p, new, lines + 1))
+    lines += len(new)
+    view = records
+    tail = data[end:].splitlines()
+    if tail:
+        view = dict(records)
+        _index_records(view, _parse_lines(p, tail, lines + 1))
+    return _Index(stamp, data[:end], lines, records, view)
 
 
 def lookup(
@@ -139,10 +201,9 @@ def lookup(
         return None
     stamp = (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
     name = os.fspath(path)
-    entry = _indexes.get(name)
-    if entry is None or entry[0] != stamp:
+    index = _indexes.get(name)
+    if index is None or index.stamp != stamp:
         # Stamped before reading: a write racing the read changes the
         # stamp, so the next lookup reads the file again.
-        index = {rec.key: rec for rec in load_records(path) if rec.tool_version == __version__}
-        entry = _indexes[name] = (stamp, index)
-    return entry[1].get((coeffs, k, diameter))
+        index = _indexes[name] = _read_index(path, stamp, index)
+    return index.view.get((coeffs, k, diameter))

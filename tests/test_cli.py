@@ -6,11 +6,15 @@ import dataclasses
 import json
 import os
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from oracles import random_form_coeffs
-from linforms import cache
+from linforms import __version__, cache
 from linforms.cli import main
 from linforms.engine import NfConfig, compute_nf
 from linforms.forms import LinearForm
@@ -20,6 +24,51 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _record(coeffs, k, timestamp="t0", tool_version=__version__):
+    """A well-formed record; its answer fields are not checked here."""
+    return cache.CacheRecord(
+        coeffs=coeffs,
+        k=k,
+        diameter=sum(coeffs) * (k - 1),
+        lower=1,
+        best=1,
+        exact=True,
+        witnesses=(tuple(range(k)),),
+        timestamp=timestamp,
+        tool_version=tool_version,
+    )
+
+
+def _line(rec):
+    return json.dumps(rec.to_json()).encode("utf-8")
+
+
+_KEYS = (((1, 2), 3), ((1, 3), 3), ((2, 3), 3))
+# One-digit timestamps: rewriting a digit in place can change a record's
+# timestamp, or its key, without changing the file's size.
+_RECORDS = st.builds(
+    lambda key, stamp, current: _record(
+        *_KEYS[key], f"t{stamp}", __version__ if current else "0.0.0"
+    ),
+    st.integers(0, len(_KEYS) - 1),
+    st.integers(0, 9),
+    st.booleans(),
+)
+_CHANGES = st.one_of(
+    st.tuples(st.just("append"), _RECORDS),
+    st.tuples(st.just("corrupt"), st.binary(max_size=12)),
+    # Lines are about 150 bytes, so a quarter of the fragments are a whole
+    # record with no newline.
+    st.tuples(st.just("fragment"), _RECORDS, st.integers(1, 200)),
+    st.tuples(st.just("complete")),
+    st.tuples(st.just("truncate"), st.integers(0, 10**4)),
+    st.tuples(st.just("rewrite"), st.integers(0, 10**4), st.sampled_from(b"0123456789\n")),
+    st.tuples(st.just("replace"), st.lists(_RECORDS, max_size=3)),
+    st.tuples(st.just("crlf"), _RECORDS),
+    st.tuples(st.just("delete")),
+)
 
 
 class TestCacheModule:
@@ -127,6 +176,101 @@ class TestCacheModule:
         assert cache.lookup(path, (1, 3), 3, 8) == third
         path.unlink()
         assert cache.lookup(path, (1, 3), 3, 8) is None
+
+    @pytest.mark.parametrize(
+        "bad", [b"\xff\xfe garbage", b"[" * 100_000], ids=["non-utf8", "deep-nesting"]
+    )
+    def test_undecodable_line_skipped(self, tmp_path, capsys, bad):
+        path = tmp_path / "c.jsonl"
+        rec = _record((1, 3), 3)
+        cache.append_record(path, rec)
+        assert cache.lookup(path, (1, 3), 3, 8) == rec
+        with open(path, "ab") as fh:
+            fh.write(bad + b"\n")
+        assert cache.lookup(path, (1, 3), 3, 8) == rec
+        err = capsys.readouterr().err
+        assert err.count("skipping corrupt cache line") == 1
+        assert f"{path}:2: skipping corrupt cache line" in err
+
+    def test_append_after_fragment(self, tmp_path, capsys):
+        """An interrupted line does not swallow the next appended record."""
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(b'{"coeffs": [1')
+        rec = _record((1, 3), 3)
+        cache.append_record(path, rec)
+        assert cache.lookup(path, (1, 3), 3, 8) == rec
+        assert capsys.readouterr().err.count("skipping corrupt cache line") == 1
+        assert path.read_bytes() == b'{"coeffs": [1\n' + _line(rec) + b"\n"
+
+    def test_append_parses_only_new_lines(self, tmp_path, monkeypatch):
+        """292 pre-filled lines and 16 appends cost 308 record parses."""
+        path = tmp_path / "c.jsonl"
+        prefill = [_record((1, c), k) for c in range(2, 75) for k in (2, 3, 4, 5)]
+        assert len(prefill) == 292
+        path.write_bytes(b"".join(_line(rec) + b"\n" for rec in prefill))
+        parse = cache.record_from_json
+        parsed = []
+        monkeypatch.setattr(cache, "record_from_json", lambda obj: parsed.append(1) or parse(obj))
+        assert cache.lookup(path, (1, 2), 2, 3) == prefill[0]
+        for c in range(3, 19):
+            rec = _record((2, c), 3)
+            assert cache.lookup(path, rec.coeffs, rec.k, rec.diameter) is None
+            cache.append_record(path, rec)
+            assert cache.lookup(path, rec.coeffs, rec.k, rec.diameter) == rec
+        assert len(parsed) == 308
+
+    @given(st.lists(_CHANGES, max_size=12))
+    # A whole record with no newline is read, then glued to a bad line.
+    @example([("fragment", _record(*_KEYS[0]), 200), ("corrupt", b"x")])
+    def test_index_equals_full_reparse(self, changes):
+        """After any sequence of file changes, lookups agree with a full re-parse."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.jsonl"
+            rest = b""  # what completes the last fragment written
+            # The index notices a change by the file's stamp; modification
+            # times tick coarsely, so each change moves the time forward.
+            mtime = 10**18
+            for change in changes:
+                op, args = change[0], change[1:]
+                if op == "append":
+                    cache.append_record(path, args[0])
+                elif op == "corrupt":
+                    with open(path, "ab") as fh:
+                        fh.write(args[0] + b"\n")
+                elif op == "fragment":
+                    line = _line(args[0]) + b"\n"
+                    cut = min(args[1], len(line) - 1)
+                    with open(path, "ab") as fh:
+                        fh.write(line[:cut])
+                    rest = line[cut:]
+                elif op == "complete":
+                    with open(path, "ab") as fh:
+                        fh.write(rest)
+                    rest = b""
+                elif op == "truncate" and path.exists():
+                    os.truncate(path, args[0] % (path.stat().st_size + 1))
+                elif op == "rewrite" and path.exists() and path.stat().st_size:
+                    with open(path, "r+b") as fh:
+                        fh.seek(args[0] % path.stat().st_size)
+                        fh.write(bytes([args[1]]))
+                elif op == "replace":
+                    fresh = Path(tmp) / "fresh.jsonl"
+                    fresh.write_bytes(b"".join(_line(rec) + b"\n" for rec in args[0]))
+                    fresh.replace(path)
+                elif op == "crlf":
+                    with open(path, "ab") as fh:
+                        fh.write(_line(args[0]) + b"\r\n")
+                elif op == "delete" and path.exists():
+                    path.unlink()
+                if path.exists():
+                    mtime += 10**9
+                    os.utime(path, ns=(mtime, mtime))
+                expected = {
+                    r.key: r for r in cache.load_records(path) if r.tool_version == __version__
+                }
+                for coeffs, k in _KEYS:
+                    key = (coeffs, k, sum(coeffs) * (k - 1))
+                    assert cache.lookup(path, *key) == expected.get(key)
 
     def test_coherence_randomized(self, tmp_path):
         """A cache hit equals recomputation on 100 randomized probes."""
@@ -355,6 +499,27 @@ class TestCliCache:
         assert code == 0
         rows = [json.loads(line) for line in out.splitlines()]
         assert [r["coeffs"] for r in rows] == [[1, 3], [1, 2]]
+
+    def test_cache_dump_skips_non_utf8(self, tmp_path, capsys):
+        path = str(tmp_path / "c.jsonl")
+        run(capsys, "nf", "--coeffs", "1,3", "--k", "3", "--cache", path)
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe garbage\n")
+        code, out, err = run(capsys, "cache-dump", "--cache", path)
+        assert code == 0
+        assert err.count("skipping corrupt cache line") == 1
+        assert [json.loads(line)["coeffs"] for line in out.splitlines()] == [[1, 3]]
+
+    def test_corrupt_line_warns_once(self, tmp_path, capsys):
+        """Appends re-read only their own lines, so an old bad line warns once."""
+        path = tmp_path / "c.jsonl"
+        path.write_text("{broken\n")
+        warnings = 0
+        for coeffs in ("1,2", "1,3", "1,4", "2,3"):
+            code, out, err = run(capsys, "nf", "--coeffs", coeffs, "--k", "3", "--cache", str(path))
+            assert code == 0 and "computed" in out
+            warnings += err.count("skipping corrupt cache line")
+        assert warnings == 1
 
     def test_different_diameter_misses(self, tmp_path, capsys):
         path = str(tmp_path / "c.jsonl")
