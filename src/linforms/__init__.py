@@ -20,8 +20,8 @@ from .certificate import (
 from .engine import (
     ExtremalResult,
     MaxResult,
-    NfConfig,
     SearchOutcome,
+    clear_search_memo,
     compute_mf,
     compute_nf,
     enumerate_minimizers,
@@ -40,7 +40,6 @@ from .forms import (
 )
 from .sets import (
     KSet,
-    ValueSet,
     canonicalize,
     composition_vectors,
     image,
@@ -86,19 +85,18 @@ __all__ = [
     "KSet",
     "LinearForm",
     "MaxResult",
-    "NfConfig",
     "ScanFinding",
     "SearchOutcome",
     "SpectrumReport",
     "SubsetSumSet",
     "SuiteBounds",
-    "ValueSet",
     "VerificationReport",
     "append_record",
     "binary_nf3_certificate",
     "canonicalize",
     "check_certificate",
     "classify_binary",
+    "clear_search_memo",
     "complete_formula",
     "composition_vectors",
     "compute_mf",

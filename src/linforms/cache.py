@@ -86,20 +86,37 @@ def record_from_result(res: ExtremalResult, timestamp: str | None = None) -> Cac
     )
 
 
+def _typed(name: str, value, kind: type):
+    """value if it is a kind (for int, one that is not a bool); else ValueError."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ValueError(f"cache field {name} is not {kind.__name__}: {value!r}")
+    return value
+
+
+def _ints(name: str, value) -> tuple[int, ...]:
+    """A list of ints as a tuple; anything else is a ValueError."""
+    return tuple(_typed(name, u, int) for u in _typed(name, value, list))
+
+
 def record_from_json(obj: dict) -> CacheRecord:
-    """Parse one cache line; raises on shape violations (caller skips)."""
+    """Parse one cache line; raises on shape violations (caller skips).
+
+    Fields are taken as they are, never coerced: ints (not bools) for
+    the integers, lists of them for coeffs and each witness, a bool for
+    exact and strings for timestamp and tool_version.
+    """
     if not all(name in obj for name in _FIELDS):
         raise ValueError(f"cache record missing fields: {sorted(set(_FIELDS) - set(obj))}")
     return CacheRecord(
-        coeffs=tuple(int(u) for u in obj["coeffs"]),
-        k=int(obj["k"]),
-        diameter=int(obj["diameter"]),
-        lower=int(obj["lower"]),
-        best=int(obj["best"]),
-        exact=bool(obj["exact"]),
-        witnesses=tuple(tuple(int(x) for x in w) for w in obj["witnesses"]),
-        timestamp=str(obj["timestamp"]),
-        tool_version=str(obj["tool_version"]),
+        coeffs=_ints("coeffs", obj["coeffs"]),
+        k=_typed("k", obj["k"], int),
+        diameter=_typed("diameter", obj["diameter"], int),
+        lower=_typed("lower", obj["lower"], int),
+        best=_typed("best", obj["best"], int),
+        exact=_typed("exact", obj["exact"], bool),
+        witnesses=tuple(_ints("witnesses", w) for w in _typed("witnesses", obj["witnesses"], list)),
+        timestamp=_typed("timestamp", obj["timestamp"], str),
+        tool_version=_typed("tool_version", obj["tool_version"], str),
     )
 
 

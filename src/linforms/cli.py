@@ -15,11 +15,10 @@ import json
 import sys
 
 from . import cache as cache_mod
-from .engine import NfConfig, compute_mf, compute_nf, enumerate_minimizers, search_diameter
+from .engine import compute_mf, compute_nf, enumerate_minimizers, search_diameter
 from .errors import InputError, ResourceError
 from .explorer import scan_ap_minimizer_converse, scan_completeness_converse, spectrum
 from .forms import parse_coeffs
-from .sets import set_to_json
 from .theory import SUITES, SuiteBounds, verify_suite
 
 
@@ -29,11 +28,7 @@ def _fmt_set(elems) -> str:
 
 def cmd_nf(args: argparse.Namespace) -> int:
     f = parse_coeffs(args.coeffs)
-    cfg = NfConfig(
-        diameter=args.diameter,
-        ladder_max_ell=args.ladder,
-        node_budget=args.budget_nodes,
-    )
+    options = dict(diameter=args.diameter, ladder_max_ell=args.ladder, node_budget=args.budget_nodes)
     diameter = search_diameter(f, args.k, args.diameter)
 
     if args.cache:
@@ -41,7 +36,7 @@ def cmd_nf(args: argparse.Namespace) -> int:
             rec = cache_mod.lookup(args.cache, f.coeffs, args.k, diameter)
             hit = rec is not None
             if rec is None:
-                rec = cache_mod.record_from_result(compute_nf(f, args.k, cfg))
+                rec = cache_mod.record_from_result(compute_nf(f, args.k, **options))
                 cache_mod.append_record(args.cache, rec)
         except OSError as exc:
             raise InputError(f"cache file {args.cache}: {exc.strerror or exc}") from None
@@ -58,7 +53,7 @@ def cmd_nf(args: argparse.Namespace) -> int:
                 print(f"  minimizer {_fmt_set(w)}")
         return 0
 
-    res = compute_nf(f, args.k, cfg)
+    res = compute_nf(f, args.k, **options)
     if args.json:
         print(json.dumps(res.to_json()))
     else:
@@ -81,7 +76,7 @@ def cmd_mf(args: argparse.Namespace) -> int:
     res = compute_mf(f, args.k)
     if args.json:
         out = {"coeffs": list(f.coeffs), "k": args.k, "value": res.value, "base": res.base}
-        out["witness"] = set_to_json(res.witness)["set"]
+        out["witness"] = list(res.witness)
         print(json.dumps(out))
     else:
         print(

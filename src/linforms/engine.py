@@ -89,23 +89,6 @@ class SearchOutcome:
 
 
 @dataclass(frozen=True)
-class NfConfig:
-    """Tuning for compute_nf.
-
-    diameter None means u_total * (k - 1); ladder_max_ell is the largest
-    base size the reported lower bound may use (2 or less leaves out the
-    binary 3-set value 8; the search prunes with it regardless);
-    witness_cap None keeps every witness; node_budget caps the nodes of
-    the search, None is unlimited.
-    """
-
-    diameter: int | None = None
-    ladder_max_ell: int = 4
-    witness_cap: int | None = 64
-    node_budget: int | None = None
-
-
-@dataclass(frozen=True)
 class ExtremalResult:
     """Outcome of compute_nf: a certified bracket, exact when closed."""
 
@@ -457,15 +440,16 @@ def search_min(
     if node_budget == 0:
         raise _budget_exceeded(node_budget, 1)  # the root {0}
     if k == 1:
-        return SearchOutcome(best=1, witnesses=(KSet((0,)),), nodes=1)
-    memo_key = (f.coeffs, k, diameter)
-    hit = _search_memo.get(memo_key)
-    if hit is None:
-        hit = _search(f, k, diameter, node_budget)
-        with _search_memo_lock:
-            if len(_search_memo) >= SEARCH_MEMO_ENTRIES:
-                del _search_memo[next(iter(_search_memo))]
-            _search_memo[memo_key] = hit
+        hit = (1, (KSet((0,)),), 1)
+    else:
+        memo_key = (f.coeffs, k, diameter)
+        hit = _search_memo.get(memo_key)
+        if hit is None:
+            hit = _search(f, k, diameter, node_budget)
+            with _search_memo_lock:
+                if len(_search_memo) >= SEARCH_MEMO_ENTRIES:
+                    del _search_memo[next(iter(_search_memo))]
+                _search_memo[memo_key] = hit
     best, reps, nodes = hit
     if node_budget is not None and nodes > node_budget:
         raise _budget_exceeded(node_budget, node_budget + 1)
@@ -489,19 +473,29 @@ def _search(
     return best, tuple(KSet(elems) for elems in _reflection_reps(raw)), nodes
 
 
-def compute_nf(f: LinearForm, k: int, config: NfConfig | None = None) -> ExtremalResult:
+def compute_nf(
+    f: LinearForm,
+    k: int,
+    *,
+    diameter: int | None = None,
+    ladder_max_ell: int = 4,
+    witness_cap: int | None = 64,
+    node_budget: int | None = None,
+) -> ExtremalResult:
     """Certified bracket (exact when closed) for the k-set minimum of |f(A)|.
 
     The lower bound is the split recursion from base sizes up to
-    cfg.ladder_max_ell (lower_certificate), replayed by
-    check_certificate; the upper bound is one search_min, which alone
-    draws on the node budget.
+    ladder_max_ell (lower_certificate), replayed by check_certificate;
+    2 or less leaves out the binary 3-set value 8, which the search
+    prunes with regardless.  The upper bound is one search_min over
+    diameter (None means u_total * (k - 1)), which alone draws on
+    node_budget (None is unlimited) and keeps the first witness_cap
+    witnesses (None keeps every one).
     """
-    cfg = config or NfConfig()
-    diameter = search_diameter(f, k, cfg.diameter)
-    cert = lower_certificate(f, k, cfg.ladder_max_ell)
+    diameter = search_diameter(f, k, diameter)
+    cert = lower_certificate(f, k, ladder_max_ell)
     check_certificate(f, k, cert)
-    out = search_min(f, k, diameter, witness_cap=cfg.witness_cap, node_budget=cfg.node_budget)
+    out = search_min(f, k, diameter, witness_cap=witness_cap, node_budget=node_budget)
     if out.best < cert.bound:
         raise LinformsError(
             f"internal: search found {out.best} under certificate {cert.bound} for {f}, k={k}"
@@ -532,7 +526,7 @@ def compute_mf(f: LinearForm, k: int) -> MaxResult:
         raise InputError(f"need k >= 1, got {k}")
     g = f.m * f.coeffs[-1] + 1
     witness = checked_elems(f, (g**i for i in range(k)))
-    return MaxResult(value=image(f, witness).size, witness=witness, base=g)
+    return MaxResult(value=len(image(f, witness)), witness=witness, base=g)
 
 
 def enumerate_minimizers(f: LinearForm, k: int, diameter: int | None = None) -> tuple[KSet, ...]:
@@ -542,7 +536,7 @@ def enumerate_minimizers(f: LinearForm, k: int, diameter: int | None = None) -> 
     listed sets might not be true minimizers, so NotCertifiedExact is
     raised.  The witness list is uncapped.
     """
-    res = compute_nf(f, k, NfConfig(diameter=diameter, witness_cap=None))
+    res = compute_nf(f, k, diameter=diameter, witness_cap=None)
     if not res.exact:
         raise NotCertifiedExact(
             f"bracket [{res.lower}, {res.best}] is open for {f}, k={k}, "

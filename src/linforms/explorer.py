@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
-from .engine import NfConfig, compute_mf, compute_nf, search_diameter
+from .engine import compute_mf, compute_nf, search_diameter
 from .errors import BudgetExceeded, DiameterTooSmall, InputError
 from .forms import LinearForm, enumerate_normalized, is_complete
 from .sets import image_mask, is_arithmetic_progression
@@ -36,10 +36,10 @@ STATUS_INCONCLUSIVE = "inconclusive"
 STATUS_THEOREM_CONFLICT = "theorem-conflict"
 
 #: Spectrum enumeration refuses more candidate sets than this.
-DEFAULT_SPECTRUM_BUDGET = 10**6
+SPECTRUM_BUDGET = 10**6
 
 #: A scan refuses to walk more forms than this.
-DEFAULT_SCAN_BUDGET = 10_000
+SCAN_BUDGET = 10_000
 
 
 @dataclass(frozen=True)
@@ -110,26 +110,21 @@ class ScanFinding:
         }
 
 
-def spectrum(
-    f: LinearForm,
-    k: int,
-    diameter: int | None = None,
-    budget: int = DEFAULT_SPECTRUM_BUDGET,
-) -> SpectrumReport:
+def spectrum(f: LinearForm, k: int, diameter: int | None = None) -> SpectrumReport:
     """Census of |f(A)| over canonical k-sets with diameter <= D.
 
     Enumerates every canonical set (gcd 1, counted once per reflection
-    pair), so the candidate count C(D, k-1) is checked against the
-    budget first.
+    pair), so the candidate count C(D, k-1) is checked against
+    SPECTRUM_BUDGET first.
     """
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
     D = search_diameter(f, k, diameter)
     if D < k - 1:
         raise DiameterTooSmall(f"diameter {D} cannot hold {k} distinct integers")
-    if math.comb(D, k - 1) > budget:
+    if math.comb(D, k - 1) > SPECTRUM_BUDGET:
         raise BudgetExceeded(
-            f"{math.comb(D, k - 1)} candidate sets exceed the spectrum budget {budget}"
+            f"{math.comb(D, k - 1)} candidate sets exceed the spectrum budget {SPECTRUM_BUDGET}"
         )
     counts: Counter[int] = Counter()
     if k == 1:
@@ -154,21 +149,18 @@ def spectrum(
     )
 
 
-def _scan_forms(m: int, max_coeff: int, budget: int) -> list[LinearForm]:
+def _scan_forms(m: int, max_coeff: int) -> list[LinearForm]:
+    """The normalized m-variable forms a scan walks, at most SCAN_BUDGET of them."""
     if m < 1:
         raise InputError(f"need m >= 1, got {m}")
     forms = list(enumerate_normalized(m, max_coeff))
-    if len(forms) > budget:
-        raise BudgetExceeded(f"{len(forms)} forms exceed the scan budget {budget}")
+    if len(forms) > SCAN_BUDGET:
+        raise BudgetExceeded(f"{len(forms)} forms exceed the scan budget {SCAN_BUDGET}")
     return forms
 
 
 def scan_completeness_converse(
-    m: int,
-    max_coeff: int,
-    k: int,
-    diameter: int | None = None,
-    budget: int = DEFAULT_SCAN_BUDGET,
+    m: int, max_coeff: int, k: int, diameter: int | None = None
 ) -> tuple[ScanFinding, ...]:
     """Hunt incomplete forms attaining the complete-form minimum.
 
@@ -178,10 +170,10 @@ def scan_completeness_converse(
     bracket that still allows equality is inconclusive.
     """
     findings: list[ScanFinding] = []
-    for f in _scan_forms(m, max_coeff, budget):
+    for f in _scan_forms(m, max_coeff):
         if is_complete(f):
             continue
-        res = compute_nf(f, k, NfConfig(diameter=diameter))
+        res = compute_nf(f, k, diameter=diameter)
         predicted = complete_formula(f.u_total, k)
         if res.best < predicted:
             status, detail = STATUS_CONSISTENT, ""
@@ -210,11 +202,7 @@ def scan_completeness_converse(
 
 
 def scan_ap_minimizer_converse(
-    m: int,
-    max_coeff: int,
-    k: int,
-    diameter: int | None = None,
-    budget: int = DEFAULT_SCAN_BUDGET,
+    m: int, max_coeff: int, k: int, diameter: int | None = None
 ) -> tuple[ScanFinding, ...]:
     """Hunt incomplete forms whose only minimizers are progressions.
 
@@ -225,8 +213,8 @@ def scan_ap_minimizer_converse(
     Minimizer lists are only trusted when the minimum is exact.
     """
     findings: list[ScanFinding] = []
-    for f in _scan_forms(m, max_coeff, budget):
-        res = compute_nf(f, k, NfConfig(diameter=diameter, witness_cap=None))
+    for f in _scan_forms(m, max_coeff):
+        res = compute_nf(f, k, diameter=diameter, witness_cap=None)
         complete = is_complete(f)
         predicted = complete_formula(f.u_total, k)
         if not res.exact:

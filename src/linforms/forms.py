@@ -28,19 +28,14 @@ from .errors import (
 )
 
 #: Widest supported bit table for subset sums; wider requests are refused.
-DEFAULT_UTOTAL_CAP = 10**6
+UTOTAL_CAP = 10**6
 
 
 @dataclass(frozen=True)
 class LinearForm:
-    """A normalized positive linear form.
-
-    coeffs are sorted ascending with gcd 1; raw_gcd records the factor
-    removed from the user's input (1 when the input was already reduced).
-    """
+    """A normalized positive linear form: coeffs sorted ascending with gcd 1."""
 
     coeffs: tuple[int, ...]
-    raw_gcd: int = 1
 
     def __post_init__(self) -> None:
         if not self.coeffs:
@@ -98,12 +93,12 @@ class SubsetSumSet:
         return [n for n in range(self.u_total + 1) if (self.mask >> n) & 1]
 
 
-def normalize_form(raw: Sequence[int], u_total_cap: int = DEFAULT_UTOTAL_CAP) -> LinearForm:
+def normalize_form(raw: Sequence[int]) -> LinearForm:
     """Validate, sort, and gcd-reduce a coefficient vector.
 
     Raises EmptyCoefficients / NonPositiveCoefficient on malformed input
     and CapacityExceeded when the reduced coefficient sum would not fit
-    the dense bit table.
+    the dense bit table (UTOTAL_CAP).
     """
     coeffs = tuple(raw)
     if not coeffs:
@@ -113,11 +108,11 @@ def normalize_form(raw: Sequence[int], u_total_cap: int = DEFAULT_UTOTAL_CAP) ->
             raise NonPositiveCoefficient(f"coefficients must be positive integers, got {u!r}")
     g = math.gcd(*coeffs)
     reduced = tuple(sorted(u // g for u in coeffs))
-    if sum(reduced) > u_total_cap:
+    if sum(reduced) > UTOTAL_CAP:
         raise CapacityExceeded(
-            f"coefficient sum {sum(reduced)} exceeds the bit-table cap {u_total_cap}"
+            f"coefficient sum {sum(reduced)} exceeds the bit-table cap {UTOTAL_CAP}"
         )
-    return LinearForm(coeffs=reduced, raw_gcd=g)
+    return LinearForm(coeffs=reduced)
 
 
 def parse_coeffs(text: str) -> LinearForm:
@@ -132,11 +127,6 @@ def parse_coeffs(text: str) -> LinearForm:
         except ValueError:
             raise NonPositiveCoefficient(f"not an integer coefficient: {p!r}") from None
     return normalize_form(values)
-
-
-def coeffs_to_json(f: LinearForm) -> dict:
-    """Wire representation of the coefficient vector."""
-    return {"coeffs": list(f.coeffs)}
 
 
 def subset_sums(f: LinearForm) -> SubsetSumSet:

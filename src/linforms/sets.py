@@ -87,17 +87,6 @@ class KSet:
         return "{" + ",".join(map(str, self.elems)) + "}"
 
 
-@dataclass(frozen=True)
-class ValueSet:
-    """The image f(A): sorted distinct values and their count."""
-
-    values: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.values)
-
-
 def canonicalize(raw: Iterable[int]) -> KSet:
     """Map any finite integer set to its canonical representative.
 
@@ -122,27 +111,6 @@ def reflect_canonical(a: KSet) -> KSet:
     """Reflect a canonical set through its diameter; canonical again."""
     d = a.elems[-1]
     return KSet(elems=tuple(d - x for x in reversed(a.elems)))
-
-
-def parse_elements(text: str) -> tuple[int, ...]:
-    """Parse a comma-separated integer set such as "0,1,3" (sorted, distinct)."""
-    parts = [p.strip() for p in text.split(",")]
-    if parts == [""]:
-        raise EmptyInput("empty element list")
-    try:
-        values = [int(p, 10) for p in parts]
-    except ValueError as exc:
-        raise EmptyInput(f"not an integer element: {exc}") from None
-    elems = sorted(values)
-    for a, b in zip(elems, elems[1:]):
-        if a == b:
-            raise DuplicateElements(f"repeated element {a}")
-    return tuple(elems)
-
-
-def set_to_json(elems: Sequence[int]) -> dict:
-    """Wire representation of a point set."""
-    return {"set": sorted(elems)}
 
 
 def is_arithmetic_progression(elems: Sequence[int]) -> bool:
@@ -227,11 +195,11 @@ def checked_elems(f: LinearForm, elems: Iterable[int]) -> tuple[int, ...]:
     return tuple(xs)
 
 
-def image(f: LinearForm, elems: Iterable[int]) -> ValueSet:
-    """The image f(A) as a ValueSet, by the dilate chain (_dilate_chain)."""
+def image(f: LinearForm, elems: Iterable[int]) -> tuple[int, ...]:
+    """The image f(A), its distinct values sorted, by the dilate chain (_dilate_chain)."""
     xs = checked_elems(f, elems)
     _check_image_bytes(f, xs)
-    return ValueSet(values=tuple(sorted(_dilate_chain(f, xs))))
+    return tuple(sorted(_dilate_chain(f, xs)))
 
 
 def image_mask(f: LinearForm, elems: Sequence[int]) -> int:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .engine import NfConfig, compute_mf, compute_nf, exact_nf2
+from .engine import compute_mf, compute_nf, exact_nf2
 from .errors import (
     BudgetExceeded,
     InputError,
@@ -42,10 +42,8 @@ from .forms import (
 )
 from .sets import is_arithmetic_progression
 
-SUITES = ("thm23", "thm31", "lem32", "thm41", "mf_bounds")
-
 #: A verify run touching more than this many (form, k) instances is refused.
-DEFAULT_INSTANCE_BUDGET = 100_000
+INSTANCE_BUDGET = 100_000
 
 
 def nstar_formula(m: int, k: int) -> int:
@@ -142,7 +140,6 @@ class SuiteBounds:
     max_coeff: int
     max_k: int
     diameter: int | None = None
-    instance_budget: int = DEFAULT_INSTANCE_BUDGET
 
 
 @dataclass(frozen=True)
@@ -179,15 +176,9 @@ def _forms_in(bounds: SuiteBounds, m: int, strictly_increasing: bool = False) ->
     return list(enumerate_normalized(m, bounds.max_coeff, strictly_increasing))
 
 
-def _guard_budget(instances: int, bounds: SuiteBounds) -> None:
-    if instances > bounds.instance_budget:
-        raise BudgetExceeded(
-            f"suite would touch {instances} instances, budget {bounds.instance_budget}"
-        )
-
-
-def _cfg(bounds: SuiteBounds) -> NfConfig:
-    return NfConfig(diameter=bounds.diameter)
+def _guard_budget(instances: int) -> None:
+    if instances > INSTANCE_BUDGET:
+        raise BudgetExceeded(f"suite would touch {instances} instances, budget {INSTANCE_BUDGET}")
 
 
 def _suite_thm23(bounds: SuiteBounds) -> tuple[int, list[str]]:
@@ -196,11 +187,11 @@ def _suite_thm23(bounds: SuiteBounds) -> tuple[int, list[str]]:
     bad: list[str] = []
     for m in range(2, bounds.max_m + 1):
         forms = _forms_in(bounds, m, strictly_increasing=True)
-        _guard_budget(len(forms) * bounds.max_k, bounds)
+        _guard_budget(len(forms) * bounds.max_k)
         for k in range(2, bounds.max_k + 1):
             target = nstar_formula(m, k)
             for f in forms:
-                res = compute_nf(f, k, _cfg(bounds))
+                res = compute_nf(f, k, diameter=bounds.diameter)
                 checked += 1
                 if res.best < target:
                     bad.append(f"{f} k={k}: best {res.best} beats the floor {target}")
@@ -218,11 +209,11 @@ def _suite_thm31(bounds: SuiteBounds) -> tuple[int, list[str]]:
     checked = 0
     bad: list[str] = []
     forms = _forms_in(bounds, 2)
-    _guard_budget(len(forms) * bounds.max_k, bounds)
+    _guard_budget(len(forms) * bounds.max_k)
     for f in forms:
         cls = classify_binary(f)
         for k in range(1, bounds.max_k + 1):
-            res = compute_nf(f, k, _cfg(bounds))
+            res = compute_nf(f, k, diameter=bounds.diameter)
             checked += 1
             want = cls.bound(k)
             if cls.exact:
@@ -249,7 +240,7 @@ def _suite_lem32(bounds: SuiteBounds) -> tuple[int, list[str]]:
     checked = 0
     bad: list[str] = []
     forms = _forms_in(bounds, 3)
-    _guard_budget(len(forms), bounds)
+    _guard_budget(len(forms))
     for f in forms:
         checked += 1
         table = ternary_nf2_table(f)
@@ -263,17 +254,13 @@ def _suite_thm41(bounds: SuiteBounds) -> tuple[int, list[str]]:
     """Complete forms: exact formula and progressions as sole minimizers."""
     checked = 0
     bad: list[str] = []
-    seen: set[tuple[int, ...]] = set()
-    forms: list[LinearForm] = []
-    for m in range(1, bounds.max_m + 1):
-        for f in _forms_in(bounds, m):
-            if f.coeffs not in seen and is_complete(f):
-                seen.add(f.coeffs)
-                forms.append(f)
-    _guard_budget(len(forms) * bounds.max_k, bounds)
+    forms = [
+        f for m in range(1, bounds.max_m + 1) for f in _forms_in(bounds, m) if is_complete(f)
+    ]
+    _guard_budget(len(forms) * bounds.max_k)
     for f in forms:
         for k in range(1, bounds.max_k + 1):
-            res = compute_nf(f, k, NfConfig(diameter=bounds.diameter, witness_cap=None))
+            res = compute_nf(f, k, diameter=bounds.diameter, witness_cap=None)
             checked += 1
             want = complete_formula(f.u_total, k)
             if not res.exact or res.best != want:
@@ -298,20 +285,13 @@ def _suite_thm41(bounds: SuiteBounds) -> tuple[int, list[str]]:
     return checked, bad
 
 
-def _falling_factorial(k: int, m: int) -> int:
-    out = 1
-    for i in range(m):
-        out *= max(k - i, 0)
-    return out
-
-
 def _suite_mf_bounds(bounds: SuiteBounds) -> tuple[int, list[str]]:
     """Maximum image size: sandwich, strict-increase floor, distinctness law."""
     checked = 0
     bad: list[str] = []
     for m in range(1, bounds.max_m + 1):
         forms = _forms_in(bounds, m)
-        _guard_budget(len(forms) * bounds.max_k, bounds)
+        _guard_budget(len(forms) * bounds.max_k)
         for f in forms:
             dss = has_distinct_subset_sums(f)
             for k in range(1, bounds.max_k + 1):
@@ -320,10 +300,10 @@ def _suite_mf_bounds(bounds: SuiteBounds) -> tuple[int, list[str]]:
                 lo, hi = math.comb(k, m), k**m
                 if not (lo <= res.value <= hi):
                     bad.append(f"{f} k={k}: M={res.value} outside [{lo},{hi}]")
-                if f.strictly_increasing and res.value < _falling_factorial(k, m):
+                if f.strictly_increasing and res.value < math.perm(k, m):
                     bad.append(
                         f"{f} k={k}: M={res.value} under the strict-increase "
-                        f"floor {_falling_factorial(k, m)}"
+                        f"floor {math.perm(k, m)}"
                     )
                 # At k = 1 every form has M = 1 = k^m; the equivalence with
                 # distinct subset sums only speaks for k >= 2.
@@ -342,6 +322,8 @@ _SUITE_RUNNERS = {
     "thm41": _suite_thm41,
     "mf_bounds": _suite_mf_bounds,
 }
+
+SUITES = tuple(_SUITE_RUNNERS)
 
 
 def verify_suite(suite: str, bounds: SuiteBounds) -> VerificationReport:

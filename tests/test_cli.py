@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from oracles import random_form_coeffs
 from linforms import __version__, cache
 from linforms.cli import main
-from linforms.engine import NfConfig, compute_nf
+from linforms.engine import compute_nf
 from linforms.forms import LinearForm
 
 
@@ -121,6 +121,33 @@ class TestCacheModule:
         assert len(loaded) == 1
         warnings = capsys.readouterr().err
         assert warnings.count("skipping corrupt cache line") == 2
+
+    @pytest.mark.parametrize(
+        "field, raw",
+        [
+            ("k", "1e400"),
+            ("k", "true"),
+            ("best", "7.9"),
+            ("exact", '"false"'),
+            ("coeffs", '"13"'),
+            ("witnesses", "[[0, 1.0, 3]]"),
+            ("timestamp", "7"),
+        ],
+    )
+    def test_mistyped_field_skipped(self, tmp_path, capsys, field, raw):
+        # A value of the wrong JSON type is never coerced into a record.
+        path = tmp_path / "c.jsonl"
+        rec = cache.record_from_result(compute_nf(LinearForm((1, 3)), 3), timestamp="t")
+        good = json.dumps(rec.to_json())
+        bad = json.dumps({**rec.to_json(), field: None}).replace(
+            f'"{field}": null', f'"{field}": {raw}'
+        )
+        path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
+        assert main(["cache-dump", "--cache", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out == good + "\n"
+        assert f"c.jsonl:2: skipping corrupt cache line (cache field {field} is not" in err
+        assert cache.lookup(path, (1, 3), 3, rec.diameter) == rec
 
     def test_other_version_skipped(self, tmp_path):
         path = tmp_path / "c.jsonl"

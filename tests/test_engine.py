@@ -22,7 +22,6 @@ from linforms.certificate import (
     split_recursion,
 )
 from linforms.engine import (
-    NfConfig,
     clear_search_memo,
     compute_mf,
     compute_nf,
@@ -122,7 +121,7 @@ class TestLowerCertificate:
     )
     def test_checker_accepts_real_and_rejects_tampered(self, coeffs, k, ladder):
         f = LinearForm(coeffs)
-        cert = compute_nf(f, k, NfConfig(diameter=k + 2, ladder_max_ell=ladder)).certificate
+        cert = compute_nf(f, k, diameter=k + 2, ladder_max_ell=ladder).certificate
         check_certificate(f, k, cert)
 
         def rejected(**change):
@@ -339,6 +338,16 @@ class TestSearchMin:
         assert [w.elems for w in out.witnesses] == [(0, 1, 3)]
         assert out.witness_overflow
 
+    def test_witness_cap_at_k1(self):
+        # The single set {0} is capped as any other witness list is.
+        f = LinearForm((1, 3))
+        out = search_min(f, 1, 5, witness_cap=0)
+        assert (out.best, out.witnesses, out.witness_overflow) == (1, (), True)
+        res = compute_nf(f, 1, witness_cap=0)
+        assert (res.best, res.witnesses, res.witness_overflow) == (1, (), True)
+        out = search_min(f, 1, 5, witness_cap=1)
+        assert ([w.elems for w in out.witnesses], out.witness_overflow) == ([(0,)], False)
+
     def test_negative_witness_cap_is_input_error(self):
         # A negative cap would slice from the end and drop minimizers.
         with pytest.raises(InputError, match="witness cap >= 0, got -1"):
@@ -355,9 +364,9 @@ class TestSearchMin:
         with pytest.raises(InputError, match="node budget >= 0, got -1"):
             search_min(LinearForm((1, 3)), 4, 12, node_budget=-1)
         with pytest.raises(InputError, match="node budget >= 0, got -1"):
-            compute_nf(LinearForm((1, 3)), 4, NfConfig(node_budget=-1))
+            compute_nf(LinearForm((1, 3)), 4, node_budget=-1)
         with pytest.raises(BudgetExceeded):
-            compute_nf(LinearForm((1, 3)), 4, NfConfig(node_budget=0))
+            compute_nf(LinearForm((1, 3)), 4, node_budget=0)
 
     def test_budget_stop_on_gcd_skipped_leaf(self):
         # Node 9 is {0, 2, 4}: a last element that keeps the gcd at 2 is
@@ -533,7 +542,7 @@ class TestComputeNf:
 
     def test_negative_witness_cap_is_input_error(self):
         with pytest.raises(InputError, match="witness cap >= 0, got -1"):
-            compute_nf(LinearForm((1, 3)), 3, NfConfig(witness_cap=-1))
+            compute_nf(LinearForm((1, 3)), 3, witness_cap=-1)
 
     def test_open_bracket_reported(self):
         res = compute_nf(LinearForm((1, 3)), 4)
@@ -564,14 +573,14 @@ class TestComputeNf:
         assert [w.elems for w in res.witnesses] == [(0, 1, 2, 3)]
 
     def test_ladder_depth_changes_lower_only(self):
-        shallow = compute_nf(LinearForm((1, 3)), 4, NfConfig(ladder_max_ell=2))
+        shallow = compute_nf(LinearForm((1, 3)), 4, ladder_max_ell=2)
         deep = compute_nf(LinearForm((1, 3)), 4)
         assert shallow.best == deep.best == 12
         assert shallow.lower == 10 and deep.lower == 11
         assert shallow.nodes_explored == deep.nodes_explored  # the same search
 
     def test_custom_diameter(self):
-        res = compute_nf(LinearForm((1, 3)), 3, NfConfig(diameter=4))
+        res = compute_nf(LinearForm((1, 3)), 3, diameter=4)
         assert res.diameter_searched == 4
         assert res.best == 8 and res.exact
 
@@ -579,11 +588,11 @@ class TestComputeNf:
         with pytest.raises(InputError):
             compute_nf(LinearForm((1, 2)), 0)
         with pytest.raises(DiameterTooSmall):
-            compute_nf(LinearForm((1, 2)), 3, NfConfig(diameter=1))
+            compute_nf(LinearForm((1, 2)), 3, diameter=1)
 
     def test_budget_propagates(self):
         with pytest.raises(BudgetExceeded):
-            compute_nf(LinearForm((1, 3)), 5, NfConfig(node_budget=3))
+            compute_nf(LinearForm((1, 3)), 5, node_budget=3)
 
     def test_json_shape(self):
         res = compute_nf(LinearForm((1, 3)), 3)
@@ -622,7 +631,7 @@ class TestComputeNf:
     def test_budget_counts_whole_run(self):
         # The run's one search stops on node budget + 1.
         with pytest.raises(BudgetExceeded) as info:
-            compute_nf(LinearForm((2, 5)), 7, NfConfig(node_budget=300_000))
+            compute_nf(LinearForm((2, 5)), 7, node_budget=300_000)
         assert info.value.nodes == 300_001
         assert str(info.value) == f"node budget 300000 exhausted ({info.value.nodes} nodes)"
 
@@ -652,7 +661,7 @@ class TestComputeNf:
         free = compute_nf(f, k)
         clear_search_memo()  # the budgeted run must count its nodes afresh
         try:
-            res = compute_nf(f, k, NfConfig(node_budget=budget))
+            res = compute_nf(f, k, node_budget=budget)
         except BudgetExceeded as exc:
             assert free.nodes_explored > budget
             assert exc.nodes <= budget + 1
@@ -679,7 +688,7 @@ class TestComputeMf:
     def test_witness_reimaged(self):
         for coeffs, k in [((1, 2), 5), ((2, 3, 4), 3), ((1, 1, 2), 4)]:
             res = compute_mf(LinearForm(coeffs), k)
-            assert image(LinearForm(coeffs), res.witness).size == res.value
+            assert len(image(LinearForm(coeffs), res.witness)) == res.value
 
     def test_bad_k(self):
         with pytest.raises(InputError):

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from oracles import canonical_ksets, oracle_image_size, reflection_reps
+from linforms import explorer
 from linforms.engine import compute_nf
 from linforms.errors import BudgetExceeded, DiameterTooSmall, InputError
 from linforms.explorer import (
@@ -58,13 +59,16 @@ class TestSpectrum:
         assert rep.values == (1,) and rep.census == ((1, 1),)
         assert rep.is_interval and rep.mf_reached
 
-    def test_errors(self):
+    def test_errors(self, monkeypatch):
         with pytest.raises(InputError):
             spectrum(LinearForm((1, 2)), 0)
         with pytest.raises(DiameterTooSmall):
             spectrum(LinearForm((1, 2)), 4, diameter=2)
         with pytest.raises(BudgetExceeded):
-            spectrum(LinearForm((1, 2)), 12, diameter=40, budget=1000)
+            spectrum(LinearForm((1, 2)), 12, diameter=40)
+        monkeypatch.setattr(explorer, "SPECTRUM_BUDGET", 1000)
+        with pytest.raises(BudgetExceeded, match="9880 candidate sets"):
+            spectrum(LinearForm((1, 2)), 4, diameter=40)
 
     def test_json_shape(self):
         out = spectrum(LinearForm((1, 3)), 3).to_json()
@@ -102,9 +106,10 @@ class TestCompletenessScan:
             elif f.status == STATUS_CANDIDATE:
                 assert f.exact and f.best == f.predicted
 
-    def test_budget(self):
+    def test_budget(self, monkeypatch):
+        monkeypatch.setattr(explorer, "SCAN_BUDGET", 5)
         with pytest.raises(BudgetExceeded):
-            scan_completeness_converse(3, 6, 3, budget=5)
+            scan_completeness_converse(3, 6, 3)
 
 
 class TestApMinimizerScan:

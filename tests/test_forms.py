@@ -17,7 +17,6 @@ from linforms.errors import (
 )
 from linforms.forms import (
     LinearForm,
-    coeffs_to_json,
     enumerate_normalized,
     has_distinct_subset_sums,
     is_complete,
@@ -61,11 +60,14 @@ class TestNormalize:
     def test_sorts_and_reduces(self):
         f = normalize_form([6, 2, 4])
         assert f.coeffs == (1, 2, 3)
-        assert f.raw_gcd == 2
 
     def test_already_normal(self):
         assert normalize_form([1, 3]).coeffs == (1, 3)
-        assert normalize_form([1, 3]).raw_gcd == 1
+
+    def test_scaled_inputs_are_one_form(self):
+        # Order and scaling leave |f(A)| unchanged, so they leave no trace.
+        assert parse_coeffs("2,6") == parse_coeffs("3,1") == LinearForm((1, 3))
+        assert len({parse_coeffs("2,6"), parse_coeffs("1,3")}) == 1
 
     def test_rejects_bool_and_nonint(self):
         with pytest.raises(NonPositiveCoefficient):
@@ -81,8 +83,7 @@ class TestNormalize:
     def test_idempotent(self, raw):
         f = normalize_form(raw)
         again = normalize_form(f.coeffs)
-        assert again.coeffs == f.coeffs
-        assert again.raw_gcd == 1
+        assert again == f
 
     @given(coeff_lists, st.integers(min_value=1, max_value=9))
     def test_scaling_invariance(self, raw, c):
@@ -100,9 +101,6 @@ class TestParse:
     def test_garbage(self):
         with pytest.raises(NonPositiveCoefficient):
             parse_coeffs("1,x")
-
-    def test_json(self):
-        assert coeffs_to_json(LinearForm((1, 3))) == {"coeffs": [1, 3]}
 
 
 class TestSubsetSums:

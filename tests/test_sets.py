@@ -25,9 +25,7 @@ from linforms.sets import (
     image,
     image_mask,
     is_arithmetic_progression,
-    parse_elements,
     reflect_canonical,
-    set_to_json,
 )
 
 int_sets = st.lists(
@@ -97,20 +95,6 @@ class TestCanonicalize:
         assert reflect_canonical(reflect_canonical(a)).elems == a.elems
 
 
-class TestParseAndJson:
-    def test_parse(self):
-        assert parse_elements("3, 0 ,1") == (0, 1, 3)
-
-    def test_parse_errors(self):
-        with pytest.raises(EmptyInput):
-            parse_elements("")
-        with pytest.raises(DuplicateElements):
-            parse_elements("1,1")
-
-    def test_set_json(self):
-        assert set_to_json((3, 0, 1)) == {"set": [0, 1, 3]}
-
-
 class TestAP:
     @pytest.mark.parametrize(
         "elems,ap",
@@ -177,16 +161,14 @@ class TestCompositionVectors:
 
 class TestImages:
     def test_example_1_3_on_013(self):
-        vs = image(LinearForm((1, 3)), [0, 1, 3])
-        assert vs.values == (0, 1, 3, 4, 6, 9, 10, 12)
-        assert vs.size == 8
+        assert image(LinearForm((1, 3)), [0, 1, 3]) == (0, 1, 3, 4, 6, 9, 10, 12)
 
     def test_example_1_1_on_013(self):
-        assert image(LinearForm((1, 1)), [0, 1, 3]).size == 6
+        assert len(image(LinearForm((1, 1)), [0, 1, 3])) == 6
 
     def test_negative_elements_fine(self):
         vs = image(LinearForm((1, 2)), [-3, 0, 2])
-        assert vs.values[0] == -9 and vs.values[-1] == 6
+        assert vs[0] == -9 and vs[-1] == 6
 
     def test_overflow_guard(self):
         with pytest.raises(ValueOverflow):
@@ -194,14 +176,14 @@ class TestImages:
 
     @given(wide_forms, st.lists(st.integers(-200, 200), min_size=1, max_size=5, unique=True))
     def test_matches_oracle(self, f, xs):
-        assert image(f, xs).values == tuple(sorted(oracle_image(f.coeffs, xs)))
+        assert image(f, xs) == tuple(sorted(oracle_image(f.coeffs, xs)))
 
     def test_capacity(self, monkeypatch):
         # (1, 2, 4) on 300 elements could take 300^3 values, but on a
         # progression at most 7 * 299 + 1: that one is built, fifth
         # powers are refused before the chain runs.
         f = LinearForm((1, 2, 4))
-        assert image(f, range(300)).size == 7 * 299 + 1
+        assert len(image(f, range(300))) == 7 * 299 + 1
         monkeypatch.setattr(sets, "_dilate_chain", None)
         with pytest.raises(CapacityExceeded, match=r"^27000000 values of 44 bits"):
             image(f, [a**5 for a in range(300)])
@@ -222,4 +204,4 @@ class TestImages:
 
     @given(small_forms, int_sets, st.integers(min_value=-9, max_value=9).filter(bool), st.integers(-20, 20))
     def test_affine_invariance_of_size(self, f, xs, c, d):
-        assert image(f, xs).size == image(f, [c * x + d for x in xs]).size
+        assert len(image(f, xs)) == len(image(f, [c * x + d for x in xs]))

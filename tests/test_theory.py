@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from linforms import theory
 from linforms.engine import compute_nf
 from linforms.errors import (
     BudgetExceeded,
@@ -144,9 +145,10 @@ class TestSuites:
         with pytest.raises(InputError):
             verify_suite("nope", BOUNDS)
 
-    def test_budget_guard(self):
+    def test_budget_guard(self, monkeypatch):
+        monkeypatch.setattr(theory, "INSTANCE_BUDGET", 3)
         with pytest.raises(BudgetExceeded):
-            verify_suite("thm41", SuiteBounds(max_m=3, max_coeff=4, max_k=4, instance_budget=3))
+            verify_suite("thm41", SuiteBounds(max_m=3, max_coeff=4, max_k=4))
 
     def test_report_json_shape(self):
         report = verify_suite("lem32", BOUNDS)
