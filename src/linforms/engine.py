@@ -28,8 +28,13 @@ Pruning is strict, so the representative of every set achieving the
 final minimum survives; the pruned search returns the same best value
 and, up to reflection, the same witness set as naive enumeration.
 No node rebuilds its image: each extends masks its parent kept, at
-3 big-integer shift-ORs per node for two-variable forms and nf2 - 1
-(one per nonzero subset sum) for any other form.
+3 big-integer shift-ORs per candidate for two-variable forms and
+nf2 - 1 (one per nonzero subset sum) for any other form.  For
+two-variable forms most candidates get no mask work at all: a lost new
+value needs a coincidence along a pair difference of the prefix, and
+one packed product of those counts per frame shows which candidates
+could still get under the best (_explore_binary).  Each frame counts
+its whole candidate range as nodes, once.
 
 When the certified lower bound meets the searched minimum the value is
 exact; otherwise the honest answer is the bracket [lower, best].
@@ -171,6 +176,39 @@ def _next_elements(elems: tuple[int, ...], t: int, diameter: int) -> range:
     return range(last + a1, diameter + 1)
 
 
+def _filter_width(k: int) -> int:
+    """Bits per packed field of _explore_binary's collision counts for k-sets.
+
+    A frame's prefix has at most k - 1 elements, so a count is at most
+    3 C(k - 1, 2); one more bit keeps the fields' top bits free.
+    """
+    return (3 * (k - 1) * (k - 2) // 2).bit_length() + 1
+
+
+def _collision_terms(
+    p: int, q: int, elems: tuple[int, ...], y: int, width: int, diameter: int
+) -> tuple[int, int]:
+    """Ppoly and Qpoly terms of the pairs (x, y), x in elems, for y > max(elems).
+
+    With d = y - x and X = 2^width (see _explore_binary), the pair adds
+    X^(q*d/p) to Ppoly when p | d (event i), X^(p*d/q) when q | d
+    (event ii), and X^(y + p*d/(q - p)) to Qpoly when p < q and
+    (q - p) | d (event iii).  Terms past the diameter, where no
+    candidate lies, are left out.
+    """
+    P = Q = 0
+    r = q - p
+    for x in elems:
+        d = y - x
+        if d % p == 0 and (s := q * d // p) <= diameter:
+            P += 1 << width * s
+        if d % q == 0 and (s := p * d // q) <= diameter:
+            P += 1 << width * s
+        if r and d % r == 0 and (s := y + p * d // r) <= diameter:
+            Q += 1 << width * s
+    return P, Q
+
+
 def _explore_binary(
     u1: int,
     u2: int,
@@ -184,36 +222,104 @@ def _explore_binary(
     The image bitmask is maintained incrementally: with dilate masks
     D1 = {u1*a} and D2 = {u2*a}, appending e updates the image M by
     M |= (D2 << u1*e) | ((D1 | bit(u1*e)) << u2*e) -- constant work per
-    node instead of a full chain recompute.
+    candidate instead of a full chain recompute.
+
+    Most candidates never get that far.  Let p <= q be u1 and u2 divided
+    by their gcd (so p and q are coprime), A a prefix of n elements with s = |f(A)|,
+    and e > max A a candidate.  The values f(A + {e}) adds to f(A) are
+    the terms u1*e + u2*x and u2*e + u1*x (x in A) and u_total*e, which
+    exceeds every other value.  There are 2n + 1 distinct terms, or
+    n + 1 when p = q and the two kinds coincide.  A term is lost only
+    if it lands in f(A) or equals a term of the other kind, and each
+    loss is one of these events:
+
+    (i)   u1*e + u2*x = u1*a + u2*b: then p(e - a) = q(b - x) with
+          e > a, so x < b, p | (b - x) and e = a + q(b - x)/p;
+    (ii)  u2*e + u1*x = u1*a + u2*b: likewise x < a, q | (a - x) and
+          e = b + p(a - x)/q;
+    (iii) u1*e + u2*x = u2*e + u1*y with y != x, only if p < q: then
+          (q - p)e = qx - py, which for e > max A needs y < x,
+          (q - p) | (x - y) and e = x + p(x - y)/(q - p).
+
+    So |f(A + {e})| >= s + (2n + 1 or n + 1) - N_A(e), with N_A(e) the
+    number of events at e.  Each pair x < y of A gives at most one
+    event of each kind at a given e (in (i) and (ii) the pair fixes the
+    third element), so N_A(e) <= 3 C(n, 2) < 2^(width - 1).
+
+    The counts are packed in width-bit fields, field e for candidate e
+    (X = 2^width): Apoly is the sum of X^a over A; Ppoly has a term
+    X^(q(b - x)/p) for each pair x < b allowed in (i) and X^(p(a - x)/q)
+    for each pair x < a allowed in (ii); Qpoly has a term X^e for each
+    event (iii).  Field e of N = Apoly * Ppoly + Qpoly is
+    N_A(e), with no carries as no field reaches 2^(width - 1).  A child
+    adds only the terms of its new pairs (_collision_terms).  The mask
+    test prunes e when |f(A + {e})| + cb[t - 1] > best, so any e with
+    N_A(e) < thr = s + (2n + 1 or n + 1) + cb[t - 1] - best is pruned.
+    When thr > 0, one addition of 2^(width - 1) - thr to every field
+    and a mask of the fields' top bits give the other candidates, in
+    increasing order; only they get the mask test.  best only falls, so
+    a filter taken when the frame starts stays sound through its loop.
+    The DFS therefore recurses into the same children and records the
+    same witnesses in the same order as one that tests every candidate.
 
     Only sets whose first gap is at most their last gap are visited
     (_next_elements): the other member of each mirror-image pair has the
     same image size, and _reflection_reps reports the visited one.
 
     Returns the best value (the progression {0, ..., k-1} always fits),
-    its raw witnesses and the node count, the root {0} included.
-    Counting past budget raises BudgetExceeded.
+    its raw witnesses and the node count: the root {0} and every
+    candidate of every frame, each frame's range counted, and checked
+    against the budget, once as the frame starts.  Counting past budget
+    raises BudgetExceeded on node budget + 1.
     """
     gcd = math.gcd
     best = None
     wits: list[tuple[int, ...]] = []
     nodes = 1  # the root {0}, budget-checked by search_min
+    g0 = gcd(u1, u2)
+    p, q = sorted((u1 // g0, u2 // g0))
+    fresh = 1 if p == q else 2  # distinct new terms per element of the prefix
+    width = _filter_width(k)
+    half = 1 << (width - 1)
+    ones = ((1 << width * (diameter + 1)) - 1) // ((1 << width) - 1)
+    high = ones << (width - 1)
 
-    def rec(elems: tuple[int, ...], g: int, D1: int, D2: int, M: int, size: int, t: int) -> None:
+    def rec(
+        elems: tuple[int, ...],
+        g: int,
+        D1: int,
+        D2: int,
+        M: int,
+        size: int,
+        t: int,
+        Apoly: int,
+        Ppoly: int,
+        Qpoly: int,
+    ) -> None:
         nonlocal best, wits, nodes
-        if t == 0:
-            if g == 1:
-                if best is None or size < best:
-                    best = size
-                    wits = [elems]
-                elif size == best:
-                    wits.append(elems)
-            return
+        cands = _next_elements(elems, t, diameter)
+        nodes += len(cands)
+        if budget is not None and nodes > budget:
+            raise _budget_exceeded(budget, budget + 1)
         cbt = cb[t - 1]
-        for e in _next_elements(elems, t, diameter):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise _budget_exceeded(budget, nodes)
+        n = len(elems)
+        if best is not None and (thr := size + fresh * n + 1 + cbt - best) > 0:
+            if thr > 3 * n * (n - 1) // 2:
+                return  # no count reaches thr; half - thr below stays >= 0 otherwise
+            lo, stop = cands.start, cands.stop
+            N = Apoly * Ppoly + Qpoly
+            hits = ((N >> width * lo) + ones * (half - thr)) & high
+            cands = []
+            while hits:
+                low = hits & -hits
+                e = lo + low.bit_length() // width - 1
+                if e >= stop:
+                    break
+                cands.append(e)
+                hits ^= low
+        for e in cands:
+            if t == 1 and g != 1 and gcd(g, e) != 1:
+                continue  # such a set is never recorded
             sh1 = u1 * e
             sh2 = u2 * e
             D1e = D1 | (1 << sh1)
@@ -221,9 +327,28 @@ def _explore_binary(
             size_e = Me.bit_count()
             if best is not None and size_e + cbt > best:
                 continue
-            rec(elems + (e,), g if g == 1 else gcd(g, e), D1e, D2 | (1 << sh2), Me, size_e, t - 1)
+            if t == 1:
+                if best is None or size_e < best:
+                    best = size_e
+                    wits = [elems + (e,)]
+                elif size_e == best:
+                    wits.append(elems + (e,))
+                continue
+            P, Q = _collision_terms(p, q, elems, e, width, diameter)
+            rec(
+                elems + (e,),
+                g if g == 1 else gcd(g, e),
+                D1e,
+                D2 | (1 << sh2),
+                Me,
+                size_e,
+                t - 1,
+                Apoly | (1 << width * e),
+                Ppoly + P,
+                Qpoly + Q,
+            )
 
-    rec((0,), 0, 1, 1, 1, 1, k - 1)
+    rec((0,), 0, 1, 1, 1, 1, k - 1, 1, 0, 0)
     return best, wits, nodes
 
 
@@ -252,7 +377,7 @@ def _explore_general(
     them (cb[0] <= 0).
 
     Visits one member of each mirror-image pair, and returns and counts
-    the budget, as _explore_binary does.
+    nodes against the budget, as _explore_binary does.
     """
     gcd = math.gcd
     best = None
@@ -269,11 +394,12 @@ def _explore_general(
             for i in members:
                 G |= table[i]
             grouped.append((d, G))
+        cands = _next_elements(elems, t, diameter)
+        nodes += len(cands)
+        if budget is not None and nodes > budget:
+            raise _budget_exceeded(budget, budget + 1)
         cbt = cb[t - 1]
-        for e in _next_elements(elems, t, diameter):
-            nodes += 1
-            if budget is not None and nodes > budget:
-                raise _budget_exceeded(budget, nodes)
+        for e in cands:
             if t == 1 and g != 1 and gcd(g, e) != 1:
                 continue
             Me = 1
@@ -366,16 +492,24 @@ def _search_bits(f: LinearForm, k: int, diameter: int) -> int:
     The image of a set spans at most u_total * diameter + 1 bits; for
     k = 1 it is the one mask counted.  The binary kernel keeps D1, D2
     and M (2 * u_total * diameter + 3 bits) per set size: the root {0}'s
-    are one bit each, then k - 1 frames of sets within the diameter.  The
-    general kernel keeps a frame per set size below k (_frame_bits):
-    the root {0}, whose masks are all {0}, and k - 2 frames of sets
-    within the diameter; the last level adds one image at a time.
+    are one bit each, then k - 1 frames of sets within the diameter.  Its
+    collision filter packs fields at positions up to the diameter, at
+    most F = _filter_width(k) * (diameter + 1) bits per value: each of
+    the k - 1 frames keeps Apoly, Ppoly and Qpoly (F each) and the
+    product N (positions up to twice the diameter, 2F); the constants
+    ones and high take F each, and the one frame filtering at a time
+    shifts N and adds to it (2F) to get its hits (F).  That is 5k * F
+    bits.  The general kernel keeps a frame per set size below k
+    (_frame_bits): the root {0}, whose masks are all {0}, and k - 2
+    frames of sets within the diameter; the last level adds one image at
+    a time.
     """
     image_bits = f.u_total * diameter + 1
     if k == 1:
         return image_bits
     if f.m == 2:
-        return 3 + (k - 1) * (2 * image_bits + 1)
+        fields = _filter_width(k) * (diameter + 1)
+        return 3 + (k - 1) * (2 * image_bits + 1) + 5 * k * fields
     return _frame_bits(f, 0) + (k - 2) * _frame_bits(f, diameter) + image_bits
 
 

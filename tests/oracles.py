@@ -9,6 +9,7 @@ always checked against a second, dumber code path.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -71,6 +72,66 @@ def oracle_min(coeffs, k: int, diameter: int):
         elif size == best:
             raw.append(elems)
     return best, tuple(reflection_reps(raw))
+
+
+def collision_events(coeffs, elems, top: int) -> dict[int, int]:
+    """Coincidences of the binary filter's new terms at each e in (max(elems), top], by definition.
+
+    For f = u1*x + u2*y, counts the triples (x, a, b) of elements with
+    u1*e + u2*x = u1*a + u2*b, those with u2*e + u1*x = u1*a + u2*b, and
+    the pairs x != y with u1*e + u2*x = u2*e + u1*y.
+    """
+    u1, u2 = coeffs
+    pairs = collections.Counter(u1 * a + u2 * b for a in elems for b in elems)
+    counts = {}
+    for e in range(max(elems) + 1, top + 1):
+        events = sum(pairs[u1 * e + u2 * x] + pairs[u2 * e + u1 * x] for x in elems)
+        for x, y in itertools.permutations(elems, 2):
+            events += u1 * e + u2 * x == u2 * e + u1 * y
+        counts[e] = events
+    return counts
+
+
+def oracle_dfs(coeffs, k: int, diameter: int, cb):
+    """(best, raw witnesses, nodes) of the kernels' pruned search, without masks or filters.
+
+    Visits the prefixes of the k-sets {0 < a_1 < ... <= diameter} whose
+    first gap is at most their last gap, each prefix's next elements in
+    increasing order.  Every next element tried is a node, the root {0}
+    is one more, and a prefix with t slots left before it is dropped
+    when its image size plus cb[t - 1] exceeds the best so far.  Full
+    sets of gcd 1 with the best size are the witnesses, in visiting
+    order.  Needs k >= 2.
+    """
+    nexts: dict[tuple[int, ...], set[int]] = {}
+    for rest in itertools.combinations(range(1, diameter + 1), k - 1):
+        elems = (0, *rest)
+        if elems[1] <= elems[-1] - elems[-2]:
+            for j in range(1, k):
+                nexts.setdefault(elems[:j], set()).add(elems[j])
+    best = None
+    raw: list[tuple[int, ...]] = []
+    nodes = 1
+
+    def visit(prefix: tuple[int, ...]) -> None:
+        nonlocal best, raw, nodes
+        t = k - len(prefix)
+        for e in sorted(nexts[prefix]):
+            nodes += 1
+            elems = prefix + (e,)
+            size = oracle_image_size(coeffs, elems)
+            if best is not None and size + cb[t - 1] > best:
+                continue
+            if t > 1:
+                visit(elems)
+            elif math.gcd(*elems) == 1:
+                if best is None or size < best:
+                    best, raw = size, [elems]
+                elif size == best:
+                    raw.append(elems)
+
+    visit((0,))
+    return best, raw, nodes
 
 
 def random_form_coeffs(rng: random.Random, max_m: int = 4, max_coeff: int = 9):

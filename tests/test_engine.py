@@ -9,10 +9,17 @@ import sys
 import threading
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from oracles import oracle_image_size, oracle_mass_vectors, oracle_min
+from oracles import (
+    collision_events,
+    oracle_dfs,
+    oracle_image,
+    oracle_image_size,
+    oracle_mass_vectors,
+    oracle_min,
+)
 import linforms
 from linforms import engine, sets
 from linforms.certificate import (
@@ -301,36 +308,45 @@ class TestSearchMin:
 
     def test_bits_bound_the_binary_masks_kept(self):
         # At every return from the binary kernel, D1, D2 and M of the
-        # frames on the stack, and the masks of the returning frame's
-        # last child, fit the count the cap checks; they span more bits
+        # frames on the stack, the masks of the returning frame's last
+        # child, and the collision filter's packed counts, product, hits
+        # and constants fit the count the cap checks; they span more bits
         # than one image.
+        masks_kept = ("D1", "D2", "M", "D1e", "Me")
+        filter_kept = ("Apoly", "Ppoly", "Qpoly", "N", "hits", "ones", "high")
         peak = 0
+        products = 0
 
         def profile(frame, event, arg):
-            nonlocal peak
+            nonlocal peak, products
             if event != "return" or frame.f_code.co_name != "rec":
                 return
             masks = {}
             while frame is not None:
                 if frame.f_code.co_name == "rec":
-                    for name in ("D1", "D2", "M", "D1e", "Me"):
-                        M = frame.f_locals.get(name)
+                    local = frame.f_locals
+                    products += "N" in local
+                    for name in masks_kept + filter_kept:
+                        M = local.get(name)
                         if M is not None:
                             masks[id(M)] = M.bit_length()
                 frame = frame.f_back
             peak = max(peak, sum(masks.values()))
 
-        for coeffs, k, diameter in (((1, 3), 5, 9), ((2, 5), 4, 12)):
+        for coeffs, k, diameter in (((1, 3), 5, 9), ((2, 5), 4, 12), ((1, 6), 6, 35)):
             f = LinearForm(coeffs)
-            peak = 0
+            peak = products = 0
             clear_search_memo()
             sys.setprofile(profile)
             try:
                 search_min(f, k, diameter)
             finally:
                 sys.setprofile(None)
+            assert products > 0  # the filter ran
             assert f.u_total * diameter + 1 < peak <= engine._search_bits(f, k, diameter)
-        assert engine._search_bits(LinearForm((1, 99)), 10, 100) == 180_030
+        # 3 + 9 * (2 * (100 * 100 + 1) + 1) bits of masks, and fields of
+        # _filter_width(10) = 8 bits at positions 0..100: 5 * 10 * 808.
+        assert engine._search_bits(LinearForm((1, 99)), 10, 100) == 180_030 + 40_400
 
     def test_witness_cap_overflow_flag(self):
         out = search_min(LinearForm((1, 3)), 3, 9, witness_cap=1)
@@ -533,6 +549,97 @@ class TestSearchMin:
         assert tuple(w.elems for w in got.witnesses) == want_wits
 
 
+class TestCollisionFilter:
+    def test_packed_counts_match_events_and_bound(self):
+        # Every prefix {0, ...} of at most 4 elements up to 10 and every
+        # candidate e up to 24, for u1 <= 5 and u1 <= u2 <= 8: field e
+        # of Apoly * Ppoly + Qpoly is the number of coinciding terms, and
+        # the image of A + {e} has at least s + (2n + 1 or n + 1) - N.
+        diameter = 24
+        width = engine._filter_width(5)
+        checks = 0
+        for u1 in range(1, 6):
+            for u2 in range(u1, 9):
+                g = math.gcd(u1, u2)
+                p, q = u1 // g, u2 // g
+                fresh = 1 if u1 == u2 else 2
+                for n in range(1, 5):
+                    for rest in itertools.combinations(range(1, 11), n - 1):
+                        elems = (0, *rest)
+                        Apoly = Ppoly = Qpoly = 0
+                        for i, y in enumerate(elems):
+                            P, Q = engine._collision_terms(p, q, elems[:i], y, width, diameter)
+                            Apoly, Ppoly, Qpoly = Apoly | 1 << width * y, Ppoly + P, Qpoly + Q
+                        N = Apoly * Ppoly + Qpoly
+                        values = oracle_image((u1, u2), elems)
+                        counts = collision_events((u1, u2), elems, diameter)
+                        for e, want in counts.items():
+                            events = N >> width * e & (1 << width) - 1
+                            assert events == want, (u1, u2, elems, e)
+                            # f(A + {e}) is f(A) and the values that use e
+                            with_e = {u1 * e + u2 * x for x in elems + (e,)}
+                            with_e |= {u2 * e + u1 * x for x in elems}
+                            grown = len(values | with_e)
+                            assert grown >= len(values) + fresh * n + 1 - events, (u1, u2, elems, e)
+                            checks += 1
+        assert checks == 30 * 2849
+
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=2, max_value=6),
+        st.integers(min_value=0, max_value=6),
+        st.sampled_from(["split", "never"]),
+    )
+    @example(1, 0, 4, 3, "split")  # (1,1): n + 1 new terms, not 2n + 1
+    @example(3, 0, 6, 5, "split")
+    @example(2, 2, 6, 6, "split")  # (2,4): p = 1, q = 2
+    def test_binary_kernel_matches_unfiltered_dfs(self, u1, extra, k, slack, bounds):
+        # Equal and non-coprime coefficients included; raw witness order
+        # and node counts must agree with a search that tests every
+        # candidate's image.
+        u2 = u1 + extra
+        diameter = k - 1 + slack
+        if bounds == "never":
+            cb = [-(10**9)] * k
+        else:
+            nf2 = len({0, u1, u2, u1 + u2})
+            cb = engine._completion_bounds(nf2, None, k)
+        want = oracle_dfs((u1, u2), k, diameter, cb)
+        assert engine._explore_binary(u1, u2, k, diameter, cb, None) == want
+        assert engine._explore_general((u1, u2), k, diameter, cb, None) == want
+
+    @given(
+        st.lists(st.integers(1, 4), min_size=3, max_size=3).map(lambda c: tuple(sorted(c))),
+        st.integers(min_value=2, max_value=5),
+        st.integers(min_value=0, max_value=4),
+    )
+    def test_general_kernel_matches_unfiltered_dfs(self, coeffs, k, slack):
+        diameter = k - 1 + slack
+        nf2 = len({sum(c) for r in range(4) for c in itertools.combinations(coeffs, r)})
+        cb = engine._completion_bounds(nf2, None, k)
+        want = oracle_dfs(coeffs, k, diameter, cb)
+        assert engine._explore_general(coeffs, k, diameter, cb, None) == want
+
+    def test_filter_leaves_few_mask_tests(self):
+        # (1,11) at k=6 tries 270,000 candidates below the root; the
+        # collision filter sends only these to the image-mask test.
+        tests = 0
+
+        def profile(frame, event, arg):
+            nonlocal tests
+            if event == "c_call" and frame.f_code.co_name == "rec":
+                tests += getattr(arg, "__name__", "") == "bit_count"
+
+        sys.setprofile(profile)
+        try:
+            out = search_min(LinearForm((1, 11)), 6, 60)
+        finally:
+            sys.setprofile(None)
+        assert out.nodes == 270_001
+        assert tests == 17_544
+
+
 class TestComputeNf:
     def test_exact_binary_k3(self):
         res = compute_nf(LinearForm((1, 3)), 3)
@@ -627,6 +734,29 @@ class TestComputeNf:
     def test_kernel_node_totals(self, coeffs, k, nodes):
         # The benchmark's tiny nf-deep instances: both kernels.
         assert compute_nf(LinearForm(coeffs), k).nodes_explored == nodes
+
+    @pytest.mark.parametrize(
+        "coeffs,nodes,witnesses",
+        [
+            ((1, 6), 31_654, [[0, 1, 2, 6, 7, 8], [0, 1, 6, 7, 12, 13]]),
+            ((1, 7), 53_675, [[0, 1, 2, 7, 8, 9], [0, 1, 7, 8, 14, 15]]),
+            ((1, 8), 85_693, [[0, 1, 2, 8, 9, 10], [0, 1, 8, 9, 16, 17]]),
+            ((1, 9), 130_396, [[0, 1, 2, 9, 10, 11], [0, 1, 9, 10, 18, 19]]),
+            ((1, 10), 190_740, [[0, 1, 2, 10, 11, 12], [0, 1, 10, 11, 20, 21]]),
+            ((1, 11), 270_001, [[0, 1, 2, 11, 12, 13], [0, 1, 11, 12, 22, 23]]),
+            ((2, 5), 55_945, [[0, 2, 4, 5, 7, 9], [0, 2, 5, 7, 10, 12]]),
+            ((3, 4), 51_922, [[0, 3, 4, 6, 7, 10], [0, 3, 4, 7, 8, 11]]),
+            ((3, 5), 95_725, [[0, 3, 5, 6, 8, 11], [0, 3, 5, 8, 10, 13]]),
+            ((4, 5), 129_692, [[0, 4, 5, 8, 9, 13], [0, 4, 5, 9, 10, 14]]),
+        ],
+    )
+    def test_binary_nf_deep_pins(self, coeffs, nodes, witnesses):
+        # The benchmark's two-variable nf-deep instances, where the
+        # collision filter saves its time: best 24 in the bracket [18, 24].
+        res = compute_nf(LinearForm(coeffs), 6)
+        assert (res.lower, res.best, res.exact) == (18, 24, False)
+        assert [list(w.elems) for w in res.witnesses] == witnesses
+        assert res.nodes_explored == nodes
 
     def test_budget_counts_whole_run(self):
         # The run's one search stops on node budget + 1.
