@@ -17,7 +17,15 @@ import sys
 from . import cache as cache_mod
 from .engine import compute_mf, compute_nf, enumerate_minimizers, search_diameter
 from .errors import InputError, ResourceError
-from .explorer import scan_ap_minimizer_converse, scan_completeness_converse, spectrum
+from .explorer import (
+    STATUS_CANDIDATE,
+    STATUS_CONSISTENT,
+    STATUS_INCONCLUSIVE,
+    STATUS_THEOREM_CONFLICT,
+    scan_ap_minimizer_converse,
+    scan_completeness_converse,
+    spectrum,
+)
 from .forms import parse_coeffs
 from .theory import SUITES, SuiteBounds, verify_suite
 
@@ -144,10 +152,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    if min(args.max_m, args.max_coeff) < 1 or args.max_k < 2:
+        raise InputError(
+            f"need --max-m, --max-coeff >= 1 and --max-k >= 2, got "
+            f"{args.max_m}, {args.max_coeff}, {args.max_k}"
+        )
     problems = (
         ["completeness", "ap-minimizers"] if args.problem == "all" else [args.problem]
     )
-    counts = {"consistent": 0, "candidate-counterexample": 0, "inconclusive": 0, "theorem-conflict": 0}
+    statuses = (STATUS_CONSISTENT, STATUS_CANDIDATE, STATUS_INCONCLUSIVE, STATUS_THEOREM_CONFLICT)
+    counts = dict.fromkeys(statuses, 0)
     for problem in problems:
         runner = (
             scan_completeness_converse
@@ -157,14 +171,14 @@ def cmd_scan(args: argparse.Namespace) -> int:
         for m in range(1, args.max_m + 1):
             for k in range(2, args.max_k + 1):
                 for finding in runner(m, args.max_coeff, k, diameter=args.diameter):
-                    counts[finding.status] = counts.get(finding.status, 0) + 1
+                    counts[finding.status] += 1
                     print(json.dumps(finding.to_json()))
     print(
         "scan done: "
         + ", ".join(f"{v} {k}" for k, v in counts.items() if v),
         file=sys.stderr,
     )
-    return 1 if counts["candidate-counterexample"] or counts["theorem-conflict"] else 0
+    return 1 if counts[STATUS_CANDIDATE] or counts[STATUS_THEOREM_CONFLICT] else 0
 
 
 def cmd_cache_dump(args: argparse.Namespace) -> int:

@@ -21,8 +21,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Callable
 
-from .engine import compute_mf, compute_nf, search_diameter
+from .engine import ExtremalResult, compute_mf, compute_nf, search_diameter
 from .errors import BudgetExceeded, DiameterTooSmall, InputError
 from .forms import LinearForm, enumerate_normalized, is_complete
 from .sets import image_mask, is_arithmetic_progression
@@ -149,14 +150,42 @@ def spectrum(f: LinearForm, k: int, diameter: int | None = None) -> SpectrumRepo
     )
 
 
-def _scan_forms(m: int, max_coeff: int) -> list[LinearForm]:
-    """The normalized m-variable forms a scan walks, at most SCAN_BUDGET of them."""
-    if m < 1:
-        raise InputError(f"need m >= 1, got {m}")
-    forms = list(enumerate_normalized(m, max_coeff))
+def _scan(
+    problem: str,
+    forms: list[LinearForm],
+    k: int,
+    verdict: Callable[[LinearForm, ExtremalResult, bool, int], tuple[str, str]],
+    **search: int | None,
+) -> tuple[ScanFinding, ...]:
+    """Search every form at k and record verdict's (status, detail) for it.
+
+    Refuses more than SCAN_BUDGET forms before the first search.
+    """
     if len(forms) > SCAN_BUDGET:
         raise BudgetExceeded(f"{len(forms)} forms exceed the scan budget {SCAN_BUDGET}")
-    return forms
+    findings = []
+    for f in forms:
+        res = compute_nf(f, k, **search)
+        complete, predicted = is_complete(f), complete_formula(f.u_total, k)
+        status, detail = verdict(f, res, complete, predicted)
+        findings.append(
+            ScanFinding(
+                problem=problem, form=f, k=k, diameter=res.diameter_searched,
+                lower=res.lower, best=res.best, exact=res.exact, predicted=predicted,
+                complete=complete, status=status, detail=detail,
+            )
+        )
+    return tuple(findings)
+
+
+def _completeness_verdict(
+    f: LinearForm, res: ExtremalResult, complete: bool, predicted: int
+) -> tuple[str, str]:
+    if res.best < predicted:
+        return STATUS_CONSISTENT, ""
+    if res.exact:
+        return STATUS_CANDIDATE, "incomplete form attains the complete-form minimum"
+    return STATUS_INCONCLUSIVE, f"bracket [{res.lower},{res.best}] still allows {predicted}"
 
 
 def scan_completeness_converse(
@@ -169,36 +198,29 @@ def scan_completeness_converse(
     counterexample; a best value below it is consistent; an open
     bracket that still allows equality is inconclusive.
     """
-    findings: list[ScanFinding] = []
-    for f in _scan_forms(m, max_coeff):
-        if is_complete(f):
-            continue
-        res = compute_nf(f, k, diameter=diameter)
-        predicted = complete_formula(f.u_total, k)
-        if res.best < predicted:
-            status, detail = STATUS_CONSISTENT, ""
-        elif res.exact:
-            status = STATUS_CANDIDATE
-            detail = "incomplete form attains the complete-form minimum"
-        else:
-            status = STATUS_INCONCLUSIVE
-            detail = f"bracket [{res.lower},{res.best}] still allows {predicted}"
-        findings.append(
-            ScanFinding(
-                problem="completeness",
-                form=f,
-                k=k,
-                diameter=res.diameter_searched,
-                lower=res.lower,
-                best=res.best,
-                exact=res.exact,
-                predicted=predicted,
-                complete=False,
-                status=status,
-                detail=detail,
-            )
-        )
-    return tuple(findings)
+    forms = [f for f in enumerate_normalized(m, max_coeff) if not is_complete(f)]
+    return _scan("completeness", forms, k, _completeness_verdict, diameter=diameter)
+
+
+def _ap_verdict(
+    f: LinearForm, res: ExtremalResult, complete: bool, predicted: int
+) -> tuple[str, str]:
+    if not res.exact:
+        return STATUS_INCONCLUSIVE, f"bracket [{res.lower},{res.best}] open; minimizers unverified"
+    if f.u_total == 1:
+        # Single-unit form: every k-set attains the minimum k, so the
+        # progression-uniqueness dichotomy is vacuous either way.
+        return STATUS_CONSISTENT, "degenerate single-unit form: every set minimizes"
+    if res.k <= 2:
+        # Every set of one or two integers is a progression, so
+        # "all minimizers are progressions" carries no information.
+        return STATUS_CONSISTENT, "every set of size <= 2 is a progression; vacuous"
+    non_ap = next((w for w in res.witnesses if not is_arithmetic_progression(w.elems)), None)
+    if complete and non_ap is not None:
+        return STATUS_THEOREM_CONFLICT, f"complete form has non-progression minimizer {non_ap}"
+    if not complete and non_ap is None:
+        return STATUS_CANDIDATE, "incomplete form, yet every minimizer is a progression"
+    return STATUS_CONSISTENT, ""
 
 
 def scan_ap_minimizer_converse(
@@ -212,54 +234,5 @@ def scan_ap_minimizer_converse(
     progression-only minimizers make a candidate counterexample.
     Minimizer lists are only trusted when the minimum is exact.
     """
-    findings: list[ScanFinding] = []
-    for f in _scan_forms(m, max_coeff):
-        res = compute_nf(f, k, diameter=diameter, witness_cap=None)
-        complete = is_complete(f)
-        predicted = complete_formula(f.u_total, k)
-        if not res.exact:
-            status = STATUS_INCONCLUSIVE
-            detail = f"bracket [{res.lower},{res.best}] open; minimizers unverified"
-        elif f.u_total == 1:
-            # Single-unit form: every k-set attains the minimum k, so the
-            # progression-uniqueness dichotomy is vacuous either way.
-            status = STATUS_CONSISTENT
-            detail = "degenerate single-unit form: every set minimizes"
-        elif k <= 2:
-            # Every set of one or two integers is a progression, so
-            # "all minimizers are progressions" carries no information.
-            status = STATUS_CONSISTENT
-            detail = "every set of size <= 2 is a progression; vacuous"
-        else:
-            all_ap = all(is_arithmetic_progression(w.elems) for w in res.witnesses)
-            if complete:
-                if all_ap:
-                    status, detail = STATUS_CONSISTENT, ""
-                else:
-                    non_ap = next(
-                        w for w in res.witnesses if not is_arithmetic_progression(w.elems)
-                    )
-                    status = STATUS_THEOREM_CONFLICT
-                    detail = f"complete form has non-progression minimizer {non_ap}"
-            else:
-                if all_ap:
-                    status = STATUS_CANDIDATE
-                    detail = "incomplete form, yet every minimizer is a progression"
-                else:
-                    status, detail = STATUS_CONSISTENT, ""
-        findings.append(
-            ScanFinding(
-                problem="ap-minimizers",
-                form=f,
-                k=k,
-                diameter=res.diameter_searched,
-                lower=res.lower,
-                best=res.best,
-                exact=res.exact,
-                predicted=predicted,
-                complete=complete,
-                status=status,
-                detail=detail,
-            )
-        )
-    return tuple(findings)
+    forms = list(enumerate_normalized(m, max_coeff))
+    return _scan("ap-minimizers", forms, k, _ap_verdict, diameter=diameter, witness_cap=None)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, combinations_with_replacement
 from typing import Iterator, Sequence
 
 from .errors import (
@@ -158,18 +159,10 @@ def enumerate_normalized(
 
     Ascending (optionally strict) coefficient tuples with gcd 1, in
     lexicographic order.  This is the canonical way suites and scans walk
-    a bounded slice of form space.
+    a bounded slice of form space.  Raises InputError for m < 1.
     """
-
-    def rec(prefix: list[int], low: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == m:
-            yield tuple(prefix)
-            return
-        for u in range(low, max_coeff + 1):
-            prefix.append(u)
-            yield from rec(prefix, u + 1 if strictly_increasing else u)
-            prefix.pop()
-
-    for tup in rec([], 1):
-        if math.gcd(*tup) == 1:
-            yield LinearForm(coeffs=tup)
+    if m < 1:
+        raise InputError(f"need m >= 1, got {m}")
+    pick = combinations if strictly_increasing else combinations_with_replacement
+    tuples = pick(range(1, max_coeff + 1), m)
+    return (LinearForm(coeffs=tup) for tup in tuples if math.gcd(*tup) == 1)

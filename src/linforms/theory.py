@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
-from .engine import compute_mf, compute_nf, exact_nf2
+from .engine import ExtremalResult, compute_mf, compute_nf, exact_nf2
 from .errors import (
     BudgetExceeded,
     InputError,
@@ -141,6 +142,13 @@ class SuiteBounds:
     max_k: int
     diameter: int | None = None
 
+    def __post_init__(self) -> None:
+        if min(self.max_m, self.max_coeff, self.max_k) < 1:
+            raise InputError(
+                f"need max_m, max_coeff, max_k >= 1, got "
+                f"{self.max_m}, {self.max_coeff}, {self.max_k}"
+            )
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -170,149 +178,120 @@ class VerificationReport:
         }
 
 
-def _forms_in(bounds: SuiteBounds, m: int, strictly_increasing: bool = False) -> list[LinearForm]:
-    if m > bounds.max_m:
+def _replay(
+    pairs: list[tuple[LinearForm, int]], check: Callable[[LinearForm, int], list[str]]
+) -> tuple[int, list[str]]:
+    """Run check on every (form, k) pair, after refusing more than INSTANCE_BUDGET of them."""
+    if len(pairs) > INSTANCE_BUDGET:
+        raise BudgetExceeded(f"suite would touch {len(pairs)} instances, budget {INSTANCE_BUDGET}")
+    return len(pairs), [msg for f, k in pairs for msg in check(f, k)]
+
+
+def _expect_exact(f: LinearForm, k: int, want: int, res: ExtremalResult) -> list[str]:
+    if res.exact and res.best == want:
         return []
-    return list(enumerate_normalized(m, bounds.max_coeff, strictly_increasing))
-
-
-def _guard_budget(instances: int) -> None:
-    if instances > INSTANCE_BUDGET:
-        raise BudgetExceeded(f"suite would touch {instances} instances, budget {INSTANCE_BUDGET}")
+    return [f"{f} k={k}: expected exact {want}, got [{res.lower},{res.best}] exact={res.exact}"]
 
 
 def _suite_thm23(bounds: SuiteBounds) -> tuple[int, list[str]]:
     """Strictly increasing forms never beat the (1..m) formula, which is tight."""
-    checked = 0
-    bad: list[str] = []
-    for m in range(2, bounds.max_m + 1):
-        forms = _forms_in(bounds, m, strictly_increasing=True)
-        _guard_budget(len(forms) * bounds.max_k)
-        for k in range(2, bounds.max_k + 1):
-            target = nstar_formula(m, k)
-            for f in forms:
-                res = compute_nf(f, k, diameter=bounds.diameter)
-                checked += 1
-                if res.best < target:
-                    bad.append(f"{f} k={k}: best {res.best} beats the floor {target}")
-                if f.coeffs == tuple(range(1, m + 1)):
-                    if not res.exact or res.best != target:
-                        bad.append(
-                            f"{f} k={k}: expected exact {target}, got "
-                            f"[{res.lower},{res.best}] exact={res.exact}"
-                        )
-    return checked, bad
+
+    def check(f: LinearForm, k: int) -> list[str]:
+        res = compute_nf(f, k, diameter=bounds.diameter)
+        target = nstar_formula(f.m, k)
+        bad = []
+        if res.best < target:
+            bad.append(f"{f} k={k}: best {res.best} beats the floor {target}")
+        if f.coeffs == tuple(range(1, f.m + 1)):
+            bad += _expect_exact(f, k, target, res)
+        return bad
+
+    ms, ks = range(2, bounds.max_m + 1), range(2, bounds.max_k + 1)
+    by_m = [list(enumerate_normalized(m, bounds.max_coeff, True)) for m in ms]
+    return _replay([(f, k) for forms in by_m for k in ks for f in forms], check)
 
 
 def _suite_thm31(bounds: SuiteBounds) -> tuple[int, list[str]]:
     """Two-variable classification against the engine."""
-    checked = 0
-    bad: list[str] = []
-    forms = _forms_in(bounds, 2)
-    _guard_budget(len(forms) * bounds.max_k)
-    for f in forms:
+
+    def check(f: LinearForm, k: int) -> list[str]:
+        res = compute_nf(f, k, diameter=bounds.diameter)
         cls = classify_binary(f)
-        for k in range(1, bounds.max_k + 1):
-            res = compute_nf(f, k, diameter=bounds.diameter)
-            checked += 1
-            want = cls.bound(k)
-            if cls.exact:
-                if not res.exact or res.best != want:
-                    bad.append(
-                        f"{f} k={k}: expected exact {want}, got "
-                        f"[{res.lower},{res.best}] exact={res.exact}"
-                    )
-            else:
-                if res.lower < want or res.best < want:
-                    bad.append(
-                        f"{f} k={k}: bracket [{res.lower},{res.best}] under the bound {want}"
-                    )
-                if k == 3 and (not res.exact or res.best != 8):
-                    bad.append(
-                        f"{f} k=3: expected exact 8, got "
-                        f"[{res.lower},{res.best}] exact={res.exact}"
-                    )
-    return checked, bad
+        want = cls.bound(k)
+        if cls.exact:
+            return _expect_exact(f, k, want, res)
+        bad = []
+        if res.lower < want or res.best < want:
+            bad.append(f"{f} k={k}: bracket [{res.lower},{res.best}] under the bound {want}")
+        if k == 3:
+            bad += _expect_exact(f, k, 8, res)
+        return bad
+
+    forms = enumerate_normalized(2, bounds.max_coeff) if bounds.max_m >= 2 else ()
+    return _replay([(f, k) for f in forms for k in range(1, bounds.max_k + 1)], check)
 
 
 def _suite_lem32(bounds: SuiteBounds) -> tuple[int, list[str]]:
     """Ternary 2-set table against the subset-sum count."""
-    checked = 0
-    bad: list[str] = []
-    forms = _forms_in(bounds, 3)
-    _guard_budget(len(forms))
-    for f in forms:
-        checked += 1
-        table = ternary_nf2_table(f)
-        direct = exact_nf2(f)
-        if table != direct:
-            bad.append(f"{f}: table {table} != subset-sum count {direct}")
-    return checked, bad
+
+    def check(f: LinearForm, k: int) -> list[str]:
+        table, direct = ternary_nf2_table(f), exact_nf2(f)
+        return [] if table == direct else [f"{f}: table {table} != subset-sum count {direct}"]
+
+    forms = enumerate_normalized(3, bounds.max_coeff) if bounds.max_m >= 3 else ()
+    return _replay([(f, 2) for f in forms], check)
 
 
 def _suite_thm41(bounds: SuiteBounds) -> tuple[int, list[str]]:
     """Complete forms: exact formula and progressions as sole minimizers."""
-    checked = 0
-    bad: list[str] = []
-    forms = [
-        f for m in range(1, bounds.max_m + 1) for f in _forms_in(bounds, m) if is_complete(f)
-    ]
-    _guard_budget(len(forms) * bounds.max_k)
-    for f in forms:
-        for k in range(1, bounds.max_k + 1):
-            res = compute_nf(f, k, diameter=bounds.diameter, witness_cap=None)
-            checked += 1
-            want = complete_formula(f.u_total, k)
-            if not res.exact or res.best != want:
-                bad.append(
-                    f"{f} k={k}: expected exact {want}, got "
-                    f"[{res.lower},{res.best}] exact={res.exact}"
-                )
-                continue
-            if f.u_total == 1:
-                # The single-unit form maps every k-set to exactly k values,
-                # so every set minimizes; uniqueness only holds from sum 2 up.
-                continue
-            mins = res.witnesses
-            expected = (tuple(range(k)),)
-            if tuple(w.elems for w in mins) != expected:
-                bad.append(
-                    f"{f} k={k}: minimizers {[list(w.elems) for w in mins]}, "
-                    f"expected only the progression"
-                )
-            if not all(is_arithmetic_progression(w.elems) for w in mins):
-                bad.append(f"{f} k={k}: non-progression minimizer found")
-    return checked, bad
+
+    def check(f: LinearForm, k: int) -> list[str]:
+        res = compute_nf(f, k, diameter=bounds.diameter, witness_cap=None)
+        bad = _expect_exact(f, k, complete_formula(f.u_total, k), res)
+        if bad or f.u_total == 1:
+            # The single-unit form maps every k-set to exactly k values,
+            # so every set minimizes; uniqueness only holds from sum 2 up.
+            return bad
+        mins = res.witnesses
+        if tuple(w.elems for w in mins) != (tuple(range(k)),):
+            bad.append(
+                f"{f} k={k}: minimizers {[list(w.elems) for w in mins]}, "
+                f"expected only the progression"
+            )
+        if not all(is_arithmetic_progression(w.elems) for w in mins):
+            bad.append(f"{f} k={k}: non-progression minimizer found")
+        return bad
+
+    ms, ks = range(1, bounds.max_m + 1), range(1, bounds.max_k + 1)
+    forms = [f for m in ms for f in enumerate_normalized(m, bounds.max_coeff)]
+    return _replay([(f, k) for f in forms if is_complete(f) for k in ks], check)
 
 
 def _suite_mf_bounds(bounds: SuiteBounds) -> tuple[int, list[str]]:
     """Maximum image size: sandwich, strict-increase floor, distinctness law."""
-    checked = 0
-    bad: list[str] = []
-    for m in range(1, bounds.max_m + 1):
-        forms = _forms_in(bounds, m)
-        _guard_budget(len(forms) * bounds.max_k)
-        for f in forms:
-            dss = has_distinct_subset_sums(f)
-            for k in range(1, bounds.max_k + 1):
-                res = compute_mf(f, k)
-                checked += 1
-                lo, hi = math.comb(k, m), k**m
-                if not (lo <= res.value <= hi):
-                    bad.append(f"{f} k={k}: M={res.value} outside [{lo},{hi}]")
-                if f.strictly_increasing and res.value < math.perm(k, m):
-                    bad.append(
-                        f"{f} k={k}: M={res.value} under the strict-increase "
-                        f"floor {math.perm(k, m)}"
-                    )
-                # At k = 1 every form has M = 1 = k^m; the equivalence with
-                # distinct subset sums only speaks for k >= 2.
-                if k >= 2 and (res.value == hi) != dss:
-                    bad.append(
-                        f"{f} k={k}: M={res.value}, k^m={hi}, distinct subset "
-                        f"sums={dss}: equivalence broken"
-                    )
-    return checked, bad
+
+    def check(f: LinearForm, k: int) -> list[str]:
+        res = compute_mf(f, k)
+        bad = []
+        lo, hi = math.comb(k, f.m), k**f.m
+        if not (lo <= res.value <= hi):
+            bad.append(f"{f} k={k}: M={res.value} outside [{lo},{hi}]")
+        floor = math.perm(k, f.m)
+        if f.strictly_increasing and res.value < floor:
+            bad.append(f"{f} k={k}: M={res.value} under the strict-increase floor {floor}")
+        # At k = 1 every form has M = 1 = k^m; the equivalence with
+        # distinct subset sums only speaks for k >= 2.
+        dss = has_distinct_subset_sums(f)
+        if k >= 2 and (res.value == hi) != dss:
+            bad.append(
+                f"{f} k={k}: M={res.value}, k^m={hi}, distinct subset "
+                f"sums={dss}: equivalence broken"
+            )
+        return bad
+
+    ms, ks = range(1, bounds.max_m + 1), range(1, bounds.max_k + 1)
+    forms = [f for m in ms for f in enumerate_normalized(m, bounds.max_coeff)]
+    return _replay([(f, k) for f in forms for k in ks], check)
 
 
 _SUITE_RUNNERS = {

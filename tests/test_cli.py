@@ -449,6 +449,12 @@ class TestCliVerify:
         ]
         assert all(r["passed"] for r in reports)
 
+    @pytest.mark.parametrize("flag", ["--max-m", "--max-coeff", "--max-k"])
+    def test_empty_bounds_exit_2(self, capsys, flag):
+        code, out, err = run(capsys, "verify", "--json", flag, "0")
+        assert (code, out) == (2, "")
+        assert "need max_m, max_coeff, max_k >= 1" in err
+
     def test_failing_suite_exit_1(self, capsys, monkeypatch):
         from linforms import cli as cli_mod
         from linforms.theory import SuiteBounds, VerificationReport
@@ -493,6 +499,18 @@ class TestCliScan:
         assert code == 1
         assert out and all(json.loads(line)["status"] == status for line in out.splitlines())
         assert status in err
+
+    @pytest.mark.parametrize("flag,value", [("--max-m", "0"), ("--max-coeff", "0"), ("--max-k", "1")])
+    def test_empty_bounds_exit_2(self, capsys, flag, value):
+        code, out, err = run(capsys, "scan", flag, value)
+        assert (code, out) == (2, "")
+        assert "need --max-m, --max-coeff >= 1 and --max-k >= 2" in err
+
+    def test_smallest_bounds_run(self, capsys):
+        code, out, err = run(capsys, "scan", "--max-m", "1", "--max-coeff", "1", "--max-k", "2")
+        assert code == 0
+        assert [json.loads(line)["coeffs"] for line in out.splitlines()] == [[1]]
+        assert err == "scan done: 1 consistent\n"
 
     def test_deterministic(self, capsys):
         args = ("scan", "--max-m", "2", "--max-coeff", "5", "--max-k", "3")

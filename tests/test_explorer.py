@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,6 +22,7 @@ from linforms.explorer import (
     spectrum,
 )
 from linforms.forms import LinearForm
+from linforms.sets import KSet
 
 
 class TestSpectrum:
@@ -111,6 +113,11 @@ class TestCompletenessScan:
         with pytest.raises(BudgetExceeded):
             scan_completeness_converse(3, 6, 3)
 
+    @pytest.mark.parametrize("scan", [scan_completeness_converse, scan_ap_minimizer_converse])
+    def test_needs_a_variable(self, scan):
+        with pytest.raises(InputError, match="need m >= 1"):
+            scan(0, 4, 3)
+
 
 class TestApMinimizerScan:
     def test_small_binary_all_consistent(self):
@@ -163,3 +170,109 @@ class TestApMinimizerScan:
         ]
         assert out["problem"] == "ap-minimizers"
         assert json.loads(json.dumps(out)) == out
+
+
+def _fake_engine(monkeypatch, results):
+    """Make explorer.compute_nf answer from results[coeffs] = (lower, best, exact, witness sets).
+
+    Returns the list of (coeffs, k, keywords) calls it receives.
+    """
+    calls = []
+
+    def fake(f, k, **kw):
+        calls.append((f.coeffs, k, kw))
+        lower, best, exact, sets = results[f.coeffs]
+        return SimpleNamespace(
+            k=k,
+            diameter_searched=7,
+            lower=lower,
+            best=best,
+            exact=exact,
+            witnesses=tuple(KSet(s) for s in sets),
+        )
+
+    monkeypatch.setattr(explorer, "compute_nf", fake)
+    return calls
+
+
+def _verdicts(findings):
+    return [(x.form.coeffs, x.complete, x.predicted, x.status, x.detail) for x in findings]
+
+
+class TestScanVerdicts:
+    """Every verdict branch of both scans, driven by crafted engine results."""
+
+    def test_completeness_branches(self, monkeypatch):
+        calls = _fake_engine(
+            monkeypatch,
+            {
+                (1, 3): (9, 9, True, [(0, 1, 2)]),
+                (1, 4): (8, 10, False, [(0, 1, 2)]),
+                (2, 3): (10, 12, False, [(0, 1, 2)]),
+                (3, 4): (13, 14, False, [(0, 1, 3)]),
+            },
+        )
+        findings = scan_completeness_converse(2, 4, 3, diameter=7)
+        assert calls == [(c, 3, {"diameter": 7}) for c in [(1, 3), (1, 4), (2, 3), (3, 4)]]
+        assert _verdicts(findings) == [
+            ((1, 3), False, 9, STATUS_CANDIDATE, "incomplete form attains the complete-form minimum"),
+            ((1, 4), False, 11, STATUS_CONSISTENT, ""),
+            ((2, 3), False, 11, STATUS_INCONCLUSIVE, "bracket [10,12] still allows 11"),
+            ((3, 4), False, 15, STATUS_CONSISTENT, ""),
+        ]
+        assert findings[2].to_json() == {
+            "problem": "completeness",
+            "coeffs": [2, 3],
+            "k": 3,
+            "diameter": 7,
+            "lower": 10,
+            "best": 12,
+            "exact": False,
+            "predicted": 11,
+            "complete": False,
+            "status": STATUS_INCONCLUSIVE,
+            "detail": "bracket [10,12] still allows 11",
+        }
+
+    def test_ap_branches(self, monkeypatch):
+        calls = _fake_engine(
+            monkeypatch,
+            {
+                (1, 1): (5, 5, True, [(0, 1, 2), (0, 1, 3)]),
+                (1, 2): (7, 7, True, [(0, 1, 2)]),
+                (1, 3): (8, 8, True, [(0, 1, 2)]),
+                (1, 4): (8, 8, True, [(0, 1, 2), (0, 1, 4)]),
+                (2, 3): (8, 9, False, [(0, 1, 2)]),
+                (3, 4): (8, 8, True, [(0, 2, 3), (0, 1, 2)]),
+            },
+        )
+        findings = scan_ap_minimizer_converse(2, 4, 3)
+        assert calls == [
+            (c, 3, {"diameter": None, "witness_cap": None})
+            for c in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)]
+        ]
+        assert _verdicts(findings) == [
+            (
+                (1, 1),
+                True,
+                5,
+                STATUS_THEOREM_CONFLICT,
+                "complete form has non-progression minimizer {0,1,3}",
+            ),
+            ((1, 2), True, 7, STATUS_CONSISTENT, ""),
+            ((1, 3), False, 9, STATUS_CANDIDATE, "incomplete form, yet every minimizer is a progression"),
+            ((1, 4), False, 11, STATUS_CONSISTENT, ""),
+            ((2, 3), False, 11, STATUS_INCONCLUSIVE, "bracket [8,9] open; minimizers unverified"),
+            ((3, 4), False, 15, STATUS_CONSISTENT, ""),
+        ]
+        assert findings[0].to_json()["problem"] == "ap-minimizers"
+        assert (findings[0].diameter, findings[0].lower, findings[0].best) == (7, 5, 5)
+
+    def test_ap_vacuous_branches(self, monkeypatch):
+        _fake_engine(monkeypatch, {(1,): (3, 3, True, [(0, 1, 3)]), (1, 1): (3, 3, True, [(0, 1)])})
+        assert _verdicts(scan_ap_minimizer_converse(1, 1, 3)) == [
+            ((1,), True, 3, STATUS_CONSISTENT, "degenerate single-unit form: every set minimizes"),
+        ]
+        assert _verdicts(scan_ap_minimizer_converse(2, 1, 2)) == [
+            ((1, 1), True, 3, STATUS_CONSISTENT, "every set of size <= 2 is a progression; vacuous"),
+        ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -191,3 +192,21 @@ class TestEnumerate:
         for f in enumerate_normalized(3, 5):
             assert f.coeffs == tuple(sorted(f.coeffs))
             assert math.gcd(*f.coeffs) == 1
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_matches_product_oracle(self, strict):
+        for m in range(1, 6):
+            for max_coeff in range(0, 9):
+                oracle = sorted(
+                    t
+                    for t in itertools.product(range(1, max_coeff + 1), repeat=m)
+                    if all(a < b if strict else a <= b for a, b in zip(t, t[1:]))
+                    and math.gcd(*t) == 1
+                )
+                got = [f.coeffs for f in enumerate_normalized(m, max_coeff, strict)]
+                assert got == oracle, (m, max_coeff)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_needs_a_variable(self, m):
+        with pytest.raises(InputError, match="need m >= 1"):
+            enumerate_normalized(m, 4)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
 from linforms import theory
@@ -14,6 +16,7 @@ from linforms.errors import (
     NotTernary,
 )
 from linforms.forms import LinearForm, enumerate_normalized
+from linforms.sets import KSet
 from linforms.theory import (
     SUITES,
     SuiteBounds,
@@ -150,6 +153,34 @@ class TestSuites:
         with pytest.raises(BudgetExceeded):
             verify_suite("thm41", SuiteBounds(max_m=3, max_coeff=4, max_k=4))
 
+    @pytest.mark.parametrize(
+        "suite,bounds,pairs",
+        [("thm23", SuiteBounds(3, 20, 3), 2248), ("mf_bounds", SuiteBounds(3, 14, 2), 1034)],
+    )
+    def test_budget_counts_every_instance_first(self, monkeypatch, suite, bounds, pairs):
+        calls = []
+
+        def counted(engine_fn):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return engine_fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(theory, "compute_nf", counted(theory.compute_nf))
+        monkeypatch.setattr(theory, "compute_mf", counted(theory.compute_mf))
+        monkeypatch.setattr(theory, "INSTANCE_BUDGET", 1000)
+        with pytest.raises(BudgetExceeded, match=f"would touch {pairs} instances, budget 1000$"):
+            verify_suite(suite, bounds)
+        assert calls == []
+
+    @pytest.mark.parametrize("field", ["max_m", "max_coeff", "max_k"])
+    def test_bounds_select_something(self, field):
+        values = {"max_m": 3, "max_coeff": 4, "max_k": 4, field: 0}
+        with pytest.raises(InputError, match="need max_m, max_coeff, max_k >= 1"):
+            SuiteBounds(**values)
+        SuiteBounds(**{**values, field: 1})
+
     def test_report_json_shape(self):
         report = verify_suite("lem32", BOUNDS)
         out = report.to_json()
@@ -163,3 +194,112 @@ class TestSuites:
         )
         assert not report.passed
         assert report.to_json()["passed"] is False
+
+
+def _bad_nf(f, k, **kw):
+    return SimpleNamespace(lower=0, best=1, exact=False, witnesses=())
+
+
+def _non_progression_nf(f, k, **kw):
+    want = complete_formula(f.u_total, k)
+    return SimpleNamespace(lower=want, best=want, exact=True, witnesses=(KSet((0, 1, 3)),))
+
+
+class TestSuiteMismatches:
+    """Each suite's exact mismatch list under engine results that fail its checks."""
+
+    @pytest.fixture(autouse=True)
+    def failing_engine(self, monkeypatch):
+        monkeypatch.setattr(theory, "compute_nf", _bad_nf)
+        monkeypatch.setattr(theory, "compute_mf", lambda f, k: SimpleNamespace(value=0))
+        monkeypatch.setattr(theory, "exact_nf2", lambda f: 0)
+
+    def test_thm23(self):
+        report = verify_suite("thm23", SuiteBounds(3, 3, 3))
+        assert report.checked == 8
+        assert report.mismatches == (
+            "(1,2) k=2: best 1 beats the floor 4",
+            "(1,2) k=2: expected exact 4, got [0,1] exact=False",
+            "(1,3) k=2: best 1 beats the floor 4",
+            "(2,3) k=2: best 1 beats the floor 4",
+            "(1,2) k=3: best 1 beats the floor 7",
+            "(1,2) k=3: expected exact 7, got [0,1] exact=False",
+            "(1,3) k=3: best 1 beats the floor 7",
+            "(2,3) k=3: best 1 beats the floor 7",
+            "(1,2,3) k=2: best 1 beats the floor 7",
+            "(1,2,3) k=2: expected exact 7, got [0,1] exact=False",
+            "(1,2,3) k=3: best 1 beats the floor 13",
+            "(1,2,3) k=3: expected exact 13, got [0,1] exact=False",
+        )
+
+    def test_thm31(self):
+        report = verify_suite("thm31", SuiteBounds(2, 3, 3))
+        assert report.checked == 12
+        assert report.mismatches == (
+            "(1,1) k=1: expected exact 1, got [0,1] exact=False",
+            "(1,1) k=2: expected exact 3, got [0,1] exact=False",
+            "(1,1) k=3: expected exact 5, got [0,1] exact=False",
+            "(1,2) k=1: expected exact 1, got [0,1] exact=False",
+            "(1,2) k=2: expected exact 4, got [0,1] exact=False",
+            "(1,2) k=3: expected exact 7, got [0,1] exact=False",
+            "(1,3) k=1: bracket [0,1] under the bound 1",
+            "(1,3) k=2: bracket [0,1] under the bound 4",
+            "(1,3) k=3: bracket [0,1] under the bound 8",
+            "(1,3) k=3: expected exact 8, got [0,1] exact=False",
+            "(2,3) k=1: bracket [0,1] under the bound 1",
+            "(2,3) k=2: bracket [0,1] under the bound 4",
+            "(2,3) k=3: bracket [0,1] under the bound 8",
+            "(2,3) k=3: expected exact 8, got [0,1] exact=False",
+        )
+
+    def test_lem32(self):
+        report = verify_suite("lem32", SuiteBounds(3, 2, 3))
+        assert report.checked == 3
+        assert report.mismatches == (
+            "(1,1,1): table 4 != subset-sum count 0",
+            "(1,1,2): table 5 != subset-sum count 0",
+            "(1,2,2): table 6 != subset-sum count 0",
+        )
+
+    def test_thm41_value(self):
+        report = verify_suite("thm41", SuiteBounds(2, 2, 2))
+        assert report.checked == 6
+        assert report.mismatches == (
+            "(1) k=1: expected exact 1, got [0,1] exact=False",
+            "(1) k=2: expected exact 2, got [0,1] exact=False",
+            "(1,1) k=1: expected exact 1, got [0,1] exact=False",
+            "(1,1) k=2: expected exact 3, got [0,1] exact=False",
+            "(1,2) k=1: expected exact 1, got [0,1] exact=False",
+            "(1,2) k=2: expected exact 4, got [0,1] exact=False",
+        )
+
+    def test_thm41_minimizers(self, monkeypatch):
+        # The single-unit form (1) is exempt from the uniqueness checks.
+        monkeypatch.setattr(theory, "compute_nf", _non_progression_nf)
+        report = verify_suite("thm41", SuiteBounds(2, 2, 2))
+        assert report.checked == 6
+        assert report.mismatches == (
+            "(1,1) k=1: minimizers [[0, 1, 3]], expected only the progression",
+            "(1,1) k=1: non-progression minimizer found",
+            "(1,1) k=2: minimizers [[0, 1, 3]], expected only the progression",
+            "(1,1) k=2: non-progression minimizer found",
+            "(1,2) k=1: minimizers [[0, 1, 3]], expected only the progression",
+            "(1,2) k=1: non-progression minimizer found",
+            "(1,2) k=2: minimizers [[0, 1, 3]], expected only the progression",
+            "(1,2) k=2: non-progression minimizer found",
+        )
+
+    def test_mf_bounds(self):
+        report = verify_suite("mf_bounds", SuiteBounds(2, 2, 2))
+        assert report.checked == 6
+        assert report.mismatches == (
+            "(1) k=1: M=0 outside [1,1]",
+            "(1) k=1: M=0 under the strict-increase floor 1",
+            "(1) k=2: M=0 outside [2,2]",
+            "(1) k=2: M=0 under the strict-increase floor 2",
+            "(1) k=2: M=0, k^m=2, distinct subset sums=True: equivalence broken",
+            "(1,1) k=2: M=0 outside [1,4]",
+            "(1,2) k=2: M=0 outside [1,4]",
+            "(1,2) k=2: M=0 under the strict-increase floor 2",
+            "(1,2) k=2: M=0, k^m=4, distinct subset sums=True: equivalence broken",
+        )
