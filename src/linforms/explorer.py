@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Callable
+from itertools import combinations, islice
+from typing import Callable, Iterable
 
 from .engine import ExtremalResult, compute_mf, compute_nf, search_diameter
 from .errors import BudgetExceeded, DiameterTooSmall, InputError
@@ -152,21 +152,19 @@ def spectrum(f: LinearForm, k: int, diameter: int | None = None) -> SpectrumRepo
 
 def _scan(
     problem: str,
-    forms: list[LinearForm],
+    forms: Iterable[tuple[LinearForm, bool]],
     k: int,
     verdict: Callable[[LinearForm, ExtremalResult, bool, int], tuple[str, str]],
     **search: int | None,
 ) -> tuple[ScanFinding, ...]:
-    """Search every form at k and record verdict's (status, detail) for it.
-
-    Refuses more than SCAN_BUDGET forms before the first search.
-    """
+    """Search each (form, complete) at k, refusing over SCAN_BUDGET forms before the first."""
+    forms = list(islice(forms, SCAN_BUDGET + 1))
     if len(forms) > SCAN_BUDGET:
-        raise BudgetExceeded(f"{len(forms)} forms exceed the scan budget {SCAN_BUDGET}")
+        raise BudgetExceeded(f"scan would walk more than {SCAN_BUDGET} forms")
     findings = []
-    for f in forms:
+    for f, complete in forms:
         res = compute_nf(f, k, **search)
-        complete, predicted = is_complete(f), complete_formula(f.u_total, k)
+        predicted = complete_formula(f.u_total, k)
         status, detail = verdict(f, res, complete, predicted)
         findings.append(
             ScanFinding(
@@ -198,7 +196,7 @@ def scan_completeness_converse(
     counterexample; a best value below it is consistent; an open
     bracket that still allows equality is inconclusive.
     """
-    forms = [f for f in enumerate_normalized(m, max_coeff) if not is_complete(f)]
+    forms = ((f, False) for f in enumerate_normalized(m, max_coeff) if not is_complete(f))
     return _scan("completeness", forms, k, _completeness_verdict, diameter=diameter)
 
 
@@ -234,5 +232,5 @@ def scan_ap_minimizer_converse(
     progression-only minimizers make a candidate counterexample.
     Minimizer lists are only trusted when the minimum is exact.
     """
-    forms = list(enumerate_normalized(m, max_coeff))
+    forms = ((f, is_complete(f)) for f in enumerate_normalized(m, max_coeff))
     return _scan("ap-minimizers", forms, k, _ap_verdict, diameter=diameter, witness_cap=None)

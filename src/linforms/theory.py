@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterable
 
 from .engine import ExtremalResult, compute_mf, compute_nf, exact_nf2
 from .errors import (
@@ -179,11 +180,12 @@ class VerificationReport:
 
 
 def _replay(
-    pairs: list[tuple[LinearForm, int]], check: Callable[[LinearForm, int], list[str]]
+    pairs: Iterable[tuple[LinearForm, int]], check: Callable[[LinearForm, int], list[str]]
 ) -> tuple[int, list[str]]:
-    """Run check on every (form, k) pair, after refusing more than INSTANCE_BUDGET of them."""
+    """Run check on every (form, k) pair; over INSTANCE_BUDGET is refused before the first."""
+    pairs = list(islice(pairs, INSTANCE_BUDGET + 1))
     if len(pairs) > INSTANCE_BUDGET:
-        raise BudgetExceeded(f"suite would touch {len(pairs)} instances, budget {INSTANCE_BUDGET}")
+        raise BudgetExceeded(f"suite would touch more than {INSTANCE_BUDGET} instances")
     return len(pairs), [msg for f, k in pairs for msg in check(f, k)]
 
 
@@ -206,9 +208,9 @@ def _suite_thm23(bounds: SuiteBounds) -> tuple[int, list[str]]:
             bad += _expect_exact(f, k, target, res)
         return bad
 
-    ms, ks = range(2, bounds.max_m + 1), range(2, bounds.max_k + 1)
-    by_m = [list(enumerate_normalized(m, bounds.max_coeff, True)) for m in ms]
-    return _replay([(f, k) for forms in by_m for k in ks for f in forms], check)
+    ms, ks, c = range(2, bounds.max_m + 1), range(2, bounds.max_k + 1), bounds.max_coeff
+    pairs = ((f, k) for m in ms for k in ks for f in enumerate_normalized(m, c, True))
+    return _replay(pairs, check)
 
 
 def _suite_thm31(bounds: SuiteBounds) -> tuple[int, list[str]]:
@@ -228,7 +230,7 @@ def _suite_thm31(bounds: SuiteBounds) -> tuple[int, list[str]]:
         return bad
 
     forms = enumerate_normalized(2, bounds.max_coeff) if bounds.max_m >= 2 else ()
-    return _replay([(f, k) for f in forms for k in range(1, bounds.max_k + 1)], check)
+    return _replay(((f, k) for f in forms for k in range(1, bounds.max_k + 1)), check)
 
 
 def _suite_lem32(bounds: SuiteBounds) -> tuple[int, list[str]]:
@@ -239,7 +241,7 @@ def _suite_lem32(bounds: SuiteBounds) -> tuple[int, list[str]]:
         return [] if table == direct else [f"{f}: table {table} != subset-sum count {direct}"]
 
     forms = enumerate_normalized(3, bounds.max_coeff) if bounds.max_m >= 3 else ()
-    return _replay([(f, 2) for f in forms], check)
+    return _replay(((f, 2) for f in forms), check)
 
 
 def _suite_thm41(bounds: SuiteBounds) -> tuple[int, list[str]]:
@@ -263,8 +265,8 @@ def _suite_thm41(bounds: SuiteBounds) -> tuple[int, list[str]]:
         return bad
 
     ms, ks = range(1, bounds.max_m + 1), range(1, bounds.max_k + 1)
-    forms = [f for m in ms for f in enumerate_normalized(m, bounds.max_coeff)]
-    return _replay([(f, k) for f in forms if is_complete(f) for k in ks], check)
+    forms = (f for m in ms for f in enumerate_normalized(m, bounds.max_coeff) if is_complete(f))
+    return _replay(((f, k) for f in forms for k in ks), check)
 
 
 def _suite_mf_bounds(bounds: SuiteBounds) -> tuple[int, list[str]]:
@@ -290,8 +292,8 @@ def _suite_mf_bounds(bounds: SuiteBounds) -> tuple[int, list[str]]:
         return bad
 
     ms, ks = range(1, bounds.max_m + 1), range(1, bounds.max_k + 1)
-    forms = [f for m in ms for f in enumerate_normalized(m, bounds.max_coeff)]
-    return _replay([(f, k) for f in forms for k in ks], check)
+    forms = (f for m in ms for f in enumerate_normalized(m, bounds.max_coeff))
+    return _replay(((f, k) for f in forms for k in ks), check)
 
 
 _SUITE_RUNNERS = {

@@ -21,7 +21,7 @@ from linforms.explorer import (
     scan_completeness_converse,
     spectrum,
 )
-from linforms.forms import LinearForm
+from linforms.forms import LinearForm, enumerate_normalized
 from linforms.sets import KSet
 
 
@@ -110,8 +110,37 @@ class TestCompletenessScan:
 
     def test_budget(self, monkeypatch):
         monkeypatch.setattr(explorer, "SCAN_BUDGET", 5)
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="more than 5 forms$"):
             scan_completeness_converse(3, 6, 3)
+
+    def test_budget_counts_searched_forms(self, monkeypatch):
+        # (2, 4) has 6 normalized forms; (1, 1) and (1, 2) are complete.
+        monkeypatch.setattr(explorer, "SCAN_BUDGET", 5)
+        assert len(scan_completeness_converse(2, 4, 3)) == 4
+        with pytest.raises(BudgetExceeded, match="more than 5 forms$"):
+            scan_ap_minimizer_converse(2, 4, 3)
+
+    @pytest.mark.parametrize("scan", [scan_completeness_converse, scan_ap_minimizer_converse])
+    def test_budget_refuses_before_walking_everything(self, monkeypatch, scan):
+        drawn = 0
+
+        def counted_forms(*args):
+            nonlocal drawn
+            for f in enumerate_normalized(*args):
+                drawn += 1
+                yield f
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before the budget check")
+
+        monkeypatch.setattr(explorer, "enumerate_normalized", counted_forms)
+        monkeypatch.setattr(explorer, "compute_nf", no_search)
+        monkeypatch.setattr(explorer, "SCAN_BUDGET", 100)
+        # Millions of 8-variable forms; the scan stops drawing just past the
+        # budget (plus, for the completeness scan, the 48 complete forms it skips).
+        with pytest.raises(BudgetExceeded, match="more than 100 forms$"):
+            scan(8, 30, 3)
+        assert drawn <= 200
 
     @pytest.mark.parametrize("scan", [scan_completeness_converse, scan_ap_minimizer_converse])
     def test_needs_a_variable(self, scan):

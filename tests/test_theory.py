@@ -154,11 +154,16 @@ class TestSuites:
             verify_suite("thm41", SuiteBounds(max_m=3, max_coeff=4, max_k=4))
 
     @pytest.mark.parametrize(
-        "suite,bounds,pairs",
-        [("thm23", SuiteBounds(3, 20, 3), 2248), ("mf_bounds", SuiteBounds(3, 14, 2), 1034)],
+        "suite,bounds,budget",
+        [
+            ("thm23", SuiteBounds(3, 20, 3), 1000),  # 2,248 pairs
+            ("mf_bounds", SuiteBounds(3, 14, 2), 1000),  # 1,034 pairs
+            ("thm23", SuiteBounds(8, 30, 4), theory.INSTANCE_BUDGET),  # millions
+            ("mf_bounds", SuiteBounds(8, 30, 4), theory.INSTANCE_BUDGET),  # ~150M pairs
+        ],
     )
-    def test_budget_counts_every_instance_first(self, monkeypatch, suite, bounds, pairs):
-        calls = []
+    def test_budget_counts_every_instance_first(self, monkeypatch, suite, bounds, budget):
+        calls, drawn = [], 0
 
         def counted(engine_fn):
             def wrapper(*args, **kwargs):
@@ -167,12 +172,21 @@ class TestSuites:
 
             return wrapper
 
+        def counted_forms(*args):
+            nonlocal drawn
+            for f in enumerate_normalized(*args):
+                drawn += 1
+                yield f
+
         monkeypatch.setattr(theory, "compute_nf", counted(theory.compute_nf))
         monkeypatch.setattr(theory, "compute_mf", counted(theory.compute_mf))
-        monkeypatch.setattr(theory, "INSTANCE_BUDGET", 1000)
-        with pytest.raises(BudgetExceeded, match=f"would touch {pairs} instances, budget 1000$"):
+        monkeypatch.setattr(theory, "enumerate_normalized", counted_forms)
+        monkeypatch.setattr(theory, "INSTANCE_BUDGET", budget)
+        with pytest.raises(BudgetExceeded, match=f"would touch more than {budget} instances$"):
             verify_suite(suite, bounds)
         assert calls == []
+        # Forms are drawn lazily, and only until the budget overflows.
+        assert drawn <= budget + 1
 
     @pytest.mark.parametrize("field", ["max_m", "max_coeff", "max_k"])
     def test_bounds_select_something(self, field):
