@@ -31,6 +31,7 @@ from .engine import (
 from .forms import (
     LinearForm,
     SubsetSumSet,
+    enumerate_complete,
     enumerate_normalized,
     has_distinct_subset_sums,
     is_complete,
@@ -101,6 +102,7 @@ __all__ = [
     "composition_vectors",
     "compute_mf",
     "compute_nf",
+    "enumerate_complete",
     "enumerate_minimizers",
     "enumerate_normalized",
     "exact_nf2",

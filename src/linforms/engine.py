@@ -27,14 +27,18 @@ sets whose first gap is at most their last gap are searched.
 Pruning is strict, so the representative of every set achieving the
 final minimum survives; the pruned search returns the same best value
 and, up to reflection, the same witness set as naive enumeration.
-No node rebuilds its image: each extends masks its parent kept, at
-3 big-integer shift-ORs per candidate for two-variable forms and
-nf2 - 1 (one per nonzero subset sum) for any other form.  For
-two-variable forms most candidates get no mask work at all: a lost new
-value needs a coincidence along a pair difference of the prefix, and
-one packed product of those counts per frame shows which candidates
-could still get under the best (_explore_binary).  Each frame counts
-its whole candidate range as nodes, once.
+No node rebuilds its image: each extends masks its parent kept.  For
+two-variable forms that is 3 big-integer shift-ORs per candidate, and
+most candidates get none: a lost new value needs a coincidence along a
+pair difference of the prefix, and one packed product of those counts
+shows which of a frame's candidates could still get under the best.
+The parent takes that product before it enters a child, and enters
+only children with a candidate left (_explore_binary).  For any other
+form a full image is nf2 - 1 shift-ORs (one per nonzero subset sum);
+a candidate first gets a lower bound from the few groups with the
+largest subset sums, and only candidates that pass it build the full
+image (_explore_general).  Each frame's whole candidate range counts
+as nodes, once.
 
 When the certified lower bound meets the searched minimum the value is
 exact; otherwise the honest answer is the bracket [lower, best].
@@ -185,28 +189,33 @@ def _filter_width(k: int) -> int:
     return (3 * (k - 1) * (k - 2) // 2).bit_length() + 1
 
 
-def _collision_terms(
-    p: int, q: int, elems: tuple[int, ...], y: int, width: int, diameter: int
-) -> tuple[int, int]:
-    """Ppoly and Qpoly terms of the pairs (x, y), x in elems, for y > max(elems).
+def _collision_tables(
+    p: int, q: int, width: int, diameter: int
+) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Per-difference offsets of _explore_binary's collision terms.
 
-    With d = y - x and X = 2^width (see _explore_binary), the pair adds
-    X^(q*d/p) to Ppoly when p | d (event i), X^(p*d/q) when q | d
-    (event ii), and X^(y + p*d/(q - p)) to Qpoly when p < q and
-    (q - p) | d (event iii).  Terms past the diameter, where no
-    candidate lies, are left out.
+    A pair x < y of the prefix with d = y - x adds 2^s to Ppoly for each
+    s in pshift[d]: s = width*(q*d/p) when p | d (event i) and
+    s = width*(p*d/q) when q | d (event ii).  It adds the term of field
+    y + qstep[d] to Qpoly when that field is within the diameter:
+    qstep[d] = p*d/(q - p) when p < q and (q - p) | d (event iii), and
+    diameter + 1, past every field, otherwise.  Terms past the diameter,
+    where no candidate lies, are left out.  Offsets, not powers: the
+    tables are O(diameter) small integers.
     """
-    P = Q = 0
+    pshift: list[tuple[int, ...]] = [()]
+    qstep = [diameter + 1]
     r = q - p
-    for x in elems:
-        d = y - x
-        if d % p == 0 and (s := q * d // p) <= diameter:
-            P += 1 << width * s
-        if d % q == 0 and (s := p * d // q) <= diameter:
-            P += 1 << width * s
-        if r and d % r == 0 and (s := y + p * d // r) <= diameter:
-            Q += 1 << width * s
-    return P, Q
+    for d in range(1, diameter + 1):
+        pshift.append(
+            tuple(
+                width * s
+                for s, divides in ((q * d // p, d % p == 0), (p * d // q, d % q == 0))
+                if divides and s <= diameter
+            )
+        )
+        qstep.append(p * d // r if r and d % r == 0 else diameter + 1)
+    return pshift, qstep
 
 
 def _explore_binary(
@@ -251,16 +260,29 @@ def _explore_binary(
     X^(q(b - x)/p) for each pair x < b allowed in (i) and X^(p(a - x)/q)
     for each pair x < a allowed in (ii); Qpoly has a term X^e for each
     event (iii).  Field e of N = Apoly * Ppoly + Qpoly is
-    N_A(e), with no carries as no field reaches 2^(width - 1).  A child
-    adds only the terms of its new pairs (_collision_terms).  The mask
-    test prunes e when |f(A + {e})| + cb[t - 1] > best, so any e with
-    N_A(e) < thr = s + (2n + 1 or n + 1) + cb[t - 1] - best is pruned.
-    When thr > 0, one addition of 2^(width - 1) - thr to every field
-    and a mask of the fields' top bits give the other candidates, in
-    increasing order; only they get the mask test.  best only falls, so
-    a filter taken when the frame starts stays sound through its loop.
-    The DFS therefore recurses into the same children and records the
-    same witnesses in the same order as one that tests every candidate.
+    N_A(e), with no carries as no field reaches 2^(width - 1).  A child's
+    polynomials add to its parent's only the terms of the pairs (x, e),
+    x in A, and those depend on x only through d = e - x: offsets built
+    once per search (_collision_tables) give each in a lookup, and an
+    addition for (iii).  The mask test prunes e when |f(A + {e})| +
+    cb[t - 1] > best, so any e with N_A(e) < thr = s + (2n + 1 or
+    n + 1) + cb[t - 1] - best is pruned.  When thr > 0, one addition of
+    2^(width - 1) - thr to every field and a mask of the fields' top
+    bits give the other candidates, in increasing order; only they get
+    the mask test.
+
+    The parent runs each child's filter.  Once a candidate passes its
+    mask test, the parent counts the child's candidate range against the
+    budget, takes the child's product and its hits, and enters the child
+    only with the candidates that survive: a child where thr exceeds
+    every possible count, or with no hit, is counted but never entered.
+    That is the point at which the child would have filtered itself, and
+    best only falls, so a filter taken then stays sound through the
+    child's loop.  The DFS therefore counts the same nodes, recurses into
+    the same children and records the same witnesses in the same order
+    as one that tests every candidate.  Per candidate of a frame that is
+    entered: 3 shift-ORs and a bit count; per child that passes, its
+    range, up to 3 |A| lookups and, when thr > 0, one product.
 
     Only sets whose first gap is at most their last gap are visited
     (_next_elements): the other member of each mirror-image pair has the
@@ -269,13 +291,12 @@ def _explore_binary(
     Returns the best value (the progression {0, ..., k-1} always fits),
     its raw witnesses and the node count: the root {0} and every
     candidate of every frame, each frame's range counted, and checked
-    against the budget, once as the frame starts.  Counting past budget
-    raises BudgetExceeded on node budget + 1.
+    against the budget, once, just before the frame would start.
+    Counting past budget raises BudgetExceeded on node budget + 1.
     """
     gcd = math.gcd
     best = None
     wits: list[tuple[int, ...]] = []
-    nodes = 1  # the root {0}, budget-checked by search_min
     g0 = gcd(u1, u2)
     p, q = sorted((u1 // g0, u2 // g0))
     fresh = 1 if p == q else 2  # distinct new terms per element of the prefix
@@ -283,6 +304,7 @@ def _explore_binary(
     half = 1 << (width - 1)
     ones = ((1 << width * (diameter + 1)) - 1) // ((1 << width) - 1)
     high = ones << (width - 1)
+    pshift, qstep = _collision_tables(p, q, width, diameter)
 
     def rec(
         elems: tuple[int, ...],
@@ -290,33 +312,18 @@ def _explore_binary(
         D1: int,
         D2: int,
         M: int,
-        size: int,
         t: int,
         Apoly: int,
         Ppoly: int,
         Qpoly: int,
+        cands: range | list[int],
     ) -> None:
         nonlocal best, wits, nodes
-        cands = _next_elements(elems, t, diameter)
-        nodes += len(cands)
-        if budget is not None and nodes > budget:
-            raise _budget_exceeded(budget, budget + 1)
         cbt = cb[t - 1]
-        n = len(elems)
-        if best is not None and (thr := size + fresh * n + 1 + cbt - best) > 0:
-            if thr > 3 * n * (n - 1) // 2:
-                return  # no count reaches thr; half - thr below stays >= 0 otherwise
-            lo, stop = cands.start, cands.stop
-            N = Apoly * Ppoly + Qpoly
-            hits = ((N >> width * lo) + ones * (half - thr)) & high
-            cands = []
-            while hits:
-                low = hits & -hits
-                e = lo + low.bit_length() // width - 1
-                if e >= stop:
-                    break
-                cands.append(e)
-                hits ^= low
+        # What filtering a child takes; a last-level frame (t = 1) has none.
+        n = len(elems) + 1  # a child's prefix size
+        grow = fresh * n + 1 + cb[t - 2]  # a child's new terms and completion bound
+        most = 3 * n * (n - 1) // 2  # a child's largest collision count
         for e in cands:
             if t == 1 and g != 1 and gcd(g, e) != 1:
                 continue  # such a set is never recorded
@@ -334,21 +341,53 @@ def _explore_binary(
                 elif size_e == best:
                     wits.append(elems + (e,))
                 continue
-            P, Q = _collision_terms(p, q, elems, e, width, diameter)
+            child = elems + (e,)
+            grand = _next_elements(child, t - 1, diameter)
+            nodes += len(grand)
+            if budget is not None and nodes > budget:
+                raise _budget_exceeded(budget, budget + 1)
+            thr = 0 if best is None else size_e + grow - best
+            if thr > most:
+                continue  # no count reaches thr; half - thr below stays >= 0 otherwise
+            Ae, Pe, Qe = Apoly | (1 << width * e), Ppoly, Qpoly
+            for x in elems:
+                d = e - x
+                for s in pshift[d]:
+                    Pe += 1 << s
+                if (s := e + qstep[d]) <= diameter:
+                    Qe += 1 << width * s
+            if thr > 0:
+                N = Ae * Pe + Qe
+                lo, stop = grand.start, grand.stop
+                hits = ((N >> width * lo) + ones * (half - thr)) & high
+                grand = []
+                while hits:
+                    low = hits & -hits
+                    c = lo + low.bit_length() // width - 1
+                    if c >= stop:
+                        break
+                    grand.append(c)
+                    hits ^= low
+                if not grand:
+                    continue
             rec(
-                elems + (e,),
+                child,
                 g if g == 1 else gcd(g, e),
                 D1e,
                 D2 | (1 << sh2),
                 Me,
-                size_e,
                 t - 1,
-                Apoly | (1 << width * e),
-                Ppoly + P,
-                Qpoly + Q,
+                Ae,
+                Pe,
+                Qe,
+                grand,
             )
 
-    rec((0,), 0, 1, 1, 1, 1, k - 1, 1, 0, 0)
+    cands = _next_elements((0,), k - 1, diameter)
+    nodes = 1 + len(cands)  # the root {0}, budget-checked by search_min, and its children
+    if budget is not None and nodes > budget:
+        raise _budget_exceeded(budget, budget + 1)
+    rec((0,), 0, 1, 1, 1, k - 1, 1, 0, 0, cands)
     return best, wits, nodes
 
 
@@ -376,6 +415,31 @@ def _explore_general(
     elements are recorded inline, as no completion bound applies to
     them (cb[0] <= 0).
 
+    Most candidates never build the full image.  Write S_w for the group
+    of subset sum w shifted into place: the values G_w + (u_total - w)e,
+    with G_w the OR of M_T(A) over the T of sum w (G_0 = {0}).  G_w's
+    largest value is w*a, with a = max A, so S_w's is w*a +
+    (u_total - w)e, and for every w' > w that exceeds every value of
+    S_w' by at least (w' - w)(e - a) > 0.  So each S_w brings at least
+    one value, its largest, that no S_w' with w' > w holds, and these
+    values differ from each other.  With w_1 > ... > w_h the h largest
+    subset sums below u_total,
+
+        |f(A + {e})| >= |f(A) | S_w1 | ... | S_wh| + (nf2 - 1 - h),
+
+    one value for each of the nf2 - 1 - h sums below w_h.  The head
+    f(A) | S_w1 | ... | S_wh is h shift-ORs in Horner order.  Only a
+    candidate whose head bound plus cb[t - 1] does not exceed best builds
+    the full image, by Horner over the remaining groups, the smallest w,
+    on short masks, and one shift-OR that joins them to the head; it then
+    gets the exact test.  The head bound is at most the image size, so
+    every candidate the exact test keeps passes it: nodes, children and
+    witnesses are those of building every full image.  h is 3 at inner
+    levels and 1 at the last one, at most the nf2 - 2 nonzero sums below
+    u_total (the {0} of w = 0 always stays in the tail).  Per candidate:
+    h shift-ORs and a bit count; per candidate that passes, nf2 - 1 - h
+    more and a second bit count.
+
     Visits one member of each mirror-image pair, and returns and counts
     nodes against the budget, as _explore_binary does.
     """
@@ -385,26 +449,54 @@ def _explore_general(
     nodes = 1  # the root {0}, budget-checked by search_min
     steps, horner = _frame_layout(coeffs)
     full = len(steps) - 1
+    shifts = [d for d, _ in horner]
+    groups = len(horner)
+
+    def split(h: int) -> tuple[int, int]:
+        # The first of the h + 1 head groups (the h largest sums below
+        # u_total, and u_total), and the shift that joins the tail.
+        cut = groups - 1 - min(h, groups - 1)
+        return cut, sum(shifts[cut:])
+
+    # Head sizes h (inner levels, last level), by CPU time for the 17
+    # three- and four-variable nf-deep forms at k = 5 against building
+    # every full image (best of 7 runs, 2 vCPU, CPython 3.11): (1,1)
+    # 0.93x, (2,1) 0.73x, (3,1) 0.70x, (4,1) 0.74x, (3,2) 0.72x, and
+    # 0.96x with every group in the head.  A wider head prunes little
+    # more and costs every candidate a long shift-OR.
+    inner, last = split(3), split(1)
 
     def rec(elems: tuple[int, ...], g: int, table: list[int], t: int) -> None:
         nonlocal best, wits, nodes
         grouped = []
-        for d, members in horner:
+        for _, members in horner:
             G = 0
             for i in members:
                 G |= table[i]
-            grouped.append((d, G))
+            grouped.append(G)
+        cut, join = last if t == 1 else inner
+        top = grouped[cut]
+        head = list(zip(shifts[cut + 1 :], grouped[cut + 1 :]))
+        tail = list(zip(shifts[:cut], grouped[:cut]))
         cands = _next_elements(elems, t, diameter)
         nodes += len(cands)
         if budget is not None and nodes > budget:
             raise _budget_exceeded(budget, budget + 1)
         cbt = cb[t - 1]
+        rest = cut + 1 + cbt  # a top per tail sum, and the completion bound
         for e in cands:
             if t == 1 and g != 1 and gcd(g, e) != 1:
                 continue
-            Me = 1
-            for d, G in grouped:
+            Me = top
+            for d, G in head:
                 Me = (Me << (d * e)) | G
+            if best is not None and Me.bit_count() + rest > best:
+                continue
+            T = 1
+            for d, G in tail:
+                T = (T << (d * e)) | G
+            Me |= T << (join * e)
+            del T  # only the image is kept, as _search_bits counts
             size_e = Me.bit_count()
             if t == 1:
                 if best is None or size_e < best:
@@ -496,7 +588,8 @@ def _search_bits(f: LinearForm, k: int, diameter: int) -> int:
     collision filter packs fields at positions up to the diameter, at
     most F = _filter_width(k) * (diameter + 1) bits per value: each of
     the k - 1 frames keeps Apoly, Ppoly and Qpoly (F each) and the
-    product N (positions up to twice the diameter, 2F); the constants
+    product N of the child it filtered last (positions up to twice the
+    diameter, 2F); the constants
     ones and high take F each, and the one frame filtering at a time
     shifts N and adds to it (2F) to get its hits (F).  That is 5k * F
     bits.  The general kernel keeps a frame per set size below k

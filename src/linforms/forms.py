@@ -166,3 +166,26 @@ def enumerate_normalized(
     pick = combinations if strictly_increasing else combinations_with_replacement
     tuples = pick(range(1, max_coeff + 1), m)
     return (LinearForm(coeffs=tup) for tup in tuples if math.gcd(*tup) == 1)
+
+
+def enumerate_complete(m: int, max_coeff: int) -> Iterator[LinearForm]:
+    """Yield every complete m-variable form with coefficients <= max_coeff.
+
+    Sorted coefficients are complete exactly when u_1 = 1 and each
+    u_i <= 1 + (u_1 + ... + u_{i-1}) (Brown's criterion: J. L. Brown,
+    "Note on complete sequences of integers", Amer. Math. Monthly 68,
+    1961), so a depth-first search generates them directly, in the
+    order of enumerate_normalized, instead of filtering every form; u_1
+    = 1 makes the gcd 1.  Raises InputError for m < 1.
+    """
+    if m < 1:
+        raise InputError(f"need m >= 1, got {m}")
+
+    def extend(prefix: tuple[int, ...], total: int) -> Iterator[LinearForm]:
+        if len(prefix) == m:
+            yield LinearForm(coeffs=prefix)
+            return
+        for u in range(prefix[-1], min(total + 1, max_coeff) + 1):
+            yield from extend(prefix + (u,), total + u)
+
+    return extend((1,), 1) if max_coeff >= 1 else iter(())

@@ -38,13 +38,14 @@ from .errors import (
 )
 from .forms import (
     LinearForm,
+    enumerate_complete,
     enumerate_normalized,
     has_distinct_subset_sums,
-    is_complete,
 )
 from .sets import is_arithmetic_progression
 
-#: A verify run touching more than this many (form, k) instances is refused.
+#: A verify suite touching more than this many (form, k) instances is refused
+#: (the budget holds per suite, not per run).
 INSTANCE_BUDGET = 100_000
 
 
@@ -265,7 +266,7 @@ def _suite_thm41(bounds: SuiteBounds) -> tuple[int, list[str]]:
         return bad
 
     ms, ks = range(1, bounds.max_m + 1), range(1, bounds.max_k + 1)
-    forms = (f for m in ms for f in enumerate_normalized(m, bounds.max_coeff) if is_complete(f))
+    forms = (f for m in ms for f in enumerate_complete(m, bounds.max_coeff))
     return _replay(((f, k) for f in forms for k in ks), check)
 
 

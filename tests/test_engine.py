@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -295,7 +296,7 @@ class TestSearchMin:
                 if frame.f_code.co_name == "rec":
                     local = frame.f_locals
                     bits += sum(M.bit_length() for M in local["table"])
-                    bits += sum(G.bit_length() for _, G in local["grouped"])
+                    bits += sum(G.bit_length() for G in local["grouped"])
                 frame = frame.f_back
             peak = max(peak, bits)
 
@@ -309,11 +310,12 @@ class TestSearchMin:
     def test_bits_bound_the_binary_masks_kept(self):
         # At every return from the binary kernel, D1, D2 and M of the
         # frames on the stack, the masks of the returning frame's last
-        # child, and the collision filter's packed counts, product, hits
-        # and constants fit the count the cap checks; they span more bits
+        # child, and the collision filter's packed counts (each frame's
+        # and those of the child it last filtered), product, hits and
+        # constants fit the count the cap checks; they span more bits
         # than one image.
         masks_kept = ("D1", "D2", "M", "D1e", "Me")
-        filter_kept = ("Apoly", "Ppoly", "Qpoly", "N", "hits", "ones", "high")
+        filter_kept = ("Apoly", "Ppoly", "Qpoly", "Ae", "Pe", "Qe", "N", "hits", "ones", "high")
         peak = 0
         products = 0
 
@@ -563,13 +565,17 @@ class TestCollisionFilter:
                 g = math.gcd(u1, u2)
                 p, q = u1 // g, u2 // g
                 fresh = 1 if u1 == u2 else 2
+                pshift, qstep = engine._collision_tables(p, q, width, diameter)
                 for n in range(1, 5):
                     for rest in itertools.combinations(range(1, 11), n - 1):
                         elems = (0, *rest)
                         Apoly = Ppoly = Qpoly = 0
                         for i, y in enumerate(elems):
-                            P, Q = engine._collision_terms(p, q, elems[:i], y, width, diameter)
-                            Apoly, Ppoly, Qpoly = Apoly | 1 << width * y, Ppoly + P, Qpoly + Q
+                            for x in elems[:i]:
+                                Ppoly += sum(1 << s for s in pshift[y - x])
+                                if (s := y + qstep[y - x]) <= diameter:
+                                    Qpoly += 1 << width * s
+                            Apoly |= 1 << width * y
                         N = Apoly * Ppoly + Qpoly
                         values = oracle_image((u1, u2), elems)
                         counts = collision_events((u1, u2), elems, diameter)
@@ -610,13 +616,19 @@ class TestCollisionFilter:
         assert engine._explore_general((u1, u2), k, diameter, cb, None) == want
 
     @given(
-        st.lists(st.integers(1, 4), min_size=3, max_size=3).map(lambda c: tuple(sorted(c))),
+        st.lists(st.integers(1, 4), min_size=3, max_size=4).map(lambda c: tuple(sorted(c))),
         st.integers(min_value=2, max_value=5),
         st.integers(min_value=0, max_value=4),
     )
+    @example((1, 2, 3, 4), 5, 3)  # 10 nonzero sums: 3 head groups and a 6-group tail
+    @example((1, 1, 1, 1), 5, 4)  # 4 nonzero sums: the inner levels' tail is the constant 1 alone
     def test_general_kernel_matches_unfiltered_dfs(self, coeffs, k, slack):
+        # Three- and four-variable forms, so that the head bound's heads
+        # and tails are both non-trivial; raw witness order and node counts
+        # must agree with a search that tests every candidate's image.
         diameter = k - 1 + slack
-        nf2 = len({sum(c) for r in range(4) for c in itertools.combinations(coeffs, r)})
+        m = len(coeffs)
+        nf2 = len({sum(c) for r in range(m + 1) for c in itertools.combinations(coeffs, r)})
         cb = engine._completion_bounds(nf2, None, k)
         want = oracle_dfs(coeffs, k, diameter, cb)
         assert engine._explore_general(coeffs, k, diameter, cb, None) == want
@@ -638,6 +650,77 @@ class TestCollisionFilter:
             sys.setprofile(None)
         assert out.nodes == 270_001
         assert tests == 17_544
+
+    def test_parent_enters_only_children_with_candidates(self):
+        # (1,11) at k=6: the parent counts and filters each child's
+        # candidates, and enters only the children that keep one (17,421
+        # frames when every child filtered itself).
+        frames = 0
+
+        def profile(frame, event, arg):
+            nonlocal frames
+            frames += event == "call" and frame.f_code.co_name == "rec"
+
+        sys.setprofile(profile)
+        try:
+            out = search_min(LinearForm((1, 11)), 6, 60)
+        finally:
+            sys.setprofile(None)
+        assert out.nodes == 270_001
+        assert frames == 1_061
+
+    def test_head_bound_leaves_few_full_images(self):
+        # (2,5,7) at k=5: every candidate gets the head bound, the first
+        # bit_count of the loop, once a best exists; only these build the
+        # full image and get the exact test, the second (24,202 when every
+        # candidate built one).
+        calls = collections.Counter()
+
+        def profile(frame, event, arg):
+            if event == "c_call" and frame.f_code.co_name == "rec":
+                if getattr(arg, "__name__", "") == "bit_count":
+                    calls[frame.f_lineno] += 1
+
+        sys.setprofile(profile)
+        try:
+            out = search_min(LinearForm((2, 5, 7)), 5, 56)
+        finally:
+            sys.setprofile(None)
+        assert out.nodes == 27_156
+        assert [calls[line] for line in sorted(calls)] == [24_198, 3_156]
+
+    def test_head_bound_never_exceeds_the_image(self):
+        # For f(A + {e}) = union over subset sums w of S_w = G_w + (u_total - w)e,
+        # with G_w the values of the sub-forms of sum w on A: the head, f(A)
+        # and the h largest S_w below u_total, plus one value per other sum,
+        # never exceeds |f(A + {e})|, for every h.  Prefixes {0, ...} of at
+        # most 3 elements within 8, every e up to 12, m in {3, 4} and
+        # coefficients <= 5.
+        checks = 0
+        for m in (3, 4):
+            for f in enumerate_normalized(m, 5):
+                coeffs, u = f.coeffs, f.u_total
+                subforms = [
+                    tuple(coeffs[i] for i in idx)
+                    for r in range(m + 1)
+                    for idx in itertools.combinations(range(m), r)
+                ]
+                for n in range(1, 4):
+                    for rest in itertools.combinations(range(1, 9), n - 1):
+                        elems = (0, *rest)
+                        groups: dict[int, set[int]] = {}
+                        for sub in subforms:
+                            groups.setdefault(sum(sub), set()).update(oracle_image(sub, elems))
+                        below = sorted(groups, reverse=True)[1:]  # the sums below u_total
+                        for e in range(elems[-1] + 1, 13):
+                            size = oracle_image_size(coeffs, elems + (e,))
+                            head = set(groups[u])
+                            for h in range(len(below)):
+                                assert len(head) + len(below) - h <= size, (coeffs, elems, e, h)
+                                w = below[h]
+                                head |= {v + (u - w) * e for v in groups[w]}
+                                checks += 1
+        assert checks == 167_520
 
 
 class TestComputeNf:

@@ -18,6 +18,7 @@ from linforms.errors import (
 )
 from linforms.forms import (
     LinearForm,
+    enumerate_complete,
     enumerate_normalized,
     has_distinct_subset_sums,
     is_complete,
@@ -210,3 +211,20 @@ class TestEnumerate:
     def test_needs_a_variable(self, m):
         with pytest.raises(InputError, match="need m >= 1"):
             enumerate_normalized(m, 4)
+        with pytest.raises(InputError, match="need m >= 1"):
+            enumerate_complete(m, 4)
+
+    def test_complete_matches_the_filter(self):
+        # Brown's criterion generates exactly the complete normalized
+        # forms, in enumerate_normalized's order.
+        for m in range(1, 6):
+            for max_coeff in range(0, 11):
+                want = [f for f in enumerate_normalized(m, max_coeff) if is_complete(f)]
+                assert list(enumerate_complete(m, max_coeff)) == want, (m, max_coeff)
+        assert [f.coeffs for f in enumerate_complete(3, 3)] == [
+            (1, 1, 1),
+            (1, 1, 2),
+            (1, 1, 3),
+            (1, 2, 2),
+            (1, 2, 3),
+        ]
