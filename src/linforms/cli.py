@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 
 from . import cache as cache_mod
+from . import explorer
 from .engine import compute_mf, compute_nf, enumerate_minimizers, search_diameter
 from .errors import InputError, ResourceError
 from .explorer import (
@@ -162,17 +164,27 @@ def cmd_scan(args: argparse.Namespace) -> int:
     )
     statuses = (STATUS_CONSISTENT, STATUS_CANDIDATE, STATUS_INCONCLUSIVE, STATUS_THEOREM_CONFLICT)
     counts = dict.fromkeys(statuses, 0)
-    for problem in problems:
+    slices = [
+        (problem, m, k)
+        for problem in problems
+        for m in range(1, args.max_m + 1)
+        for k in range(2, args.max_k + 1)
+    ]
+    # One budget for the run: every slice's forms are counted before the first search.
+    explorer._within_budget(
+        itertools.chain.from_iterable(
+            explorer._scan_forms(problem, m, args.max_coeff) for problem, m, _ in slices
+        )
+    )
+    for problem, m, k in slices:
         runner = (
             scan_completeness_converse
             if problem == "completeness"
             else scan_ap_minimizer_converse
         )
-        for m in range(1, args.max_m + 1):
-            for k in range(2, args.max_k + 1):
-                for finding in runner(m, args.max_coeff, k, diameter=args.diameter):
-                    counts[finding.status] += 1
-                    print(json.dumps(finding.to_json()))
+        for finding in runner(m, args.max_coeff, k, diameter=args.diameter):
+            counts[finding.status] += 1
+            print(json.dumps(finding.to_json()))
     print(
         "scan done: "
         + ", ".join(f"{v} {k}" for k, v in counts.items() if v),

@@ -33,12 +33,15 @@ most candidates get none: a lost new value needs a coincidence along a
 pair difference of the prefix, and one packed product of those counts
 shows which of a frame's candidates could still get under the best.
 The parent takes that product before it enters a child, and enters
-only children with a candidate left (_explore_binary).  For any other
-form a full image is nf2 - 1 shift-ORs (one per nonzero subset sum);
-a candidate first gets a lower bound from the few groups with the
-largest subset sums, and only candidates that pass it build the full
-image (_explore_general).  Each frame's whole candidate range counts
-as nodes, once.
+only children with a candidate left; a count of the kinds of
+coincidence the prefix's pairs allow skips most products, as no count
+can exceed it (_explore_binary).  For any other form a full image is
+nf2 - 1 shift-ORs (one per nonzero subset sum); a candidate first gets
+a lower bound from the few groups with the largest subset sums, and
+only candidates that pass it build the other groups, once per frame,
+and the full image (_explore_general).  In both kernels the last
+element has a loop of its own.  Each frame's whole candidate range
+counts as nodes, once.
 
 When the certified lower bound meets the searched minimum the value is
 exact; otherwise the honest answer is the bracket [lower, best].
@@ -189,10 +192,23 @@ def _filter_width(k: int) -> int:
     return (3 * (k - 1) * (k - 2) // 2).bit_length() + 1
 
 
+def _child_bounds(a1: int, t: int, diameter: int) -> tuple[int, int]:
+    """(step, stop) such that child e of a frame with t > 1 slots open has
+    the candidates range(e + step, stop), where a1 is the child's first
+    gap: elems[1] past the root {0}, e itself at the root.
+
+    The same bounds as _next_elements, taken once per frame instead of
+    once per child (children of one frame differ only in e).
+    """
+    if t > 2:  # the child has t - 1 > 1 slots open
+        return 1, diameter - a1 - t + 4
+    return a1, diameter + 1
+
+
 def _collision_tables(
     p: int, q: int, width: int, diameter: int
-) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Per-difference offsets of _explore_binary's collision terms.
+) -> tuple[list[tuple[int, ...]], list[int], list[int]]:
+    """Per-difference offsets of _explore_binary's collision terms, and kind counts.
 
     A pair x < y of the prefix with d = y - x adds 2^s to Ppoly for each
     s in pshift[d]: s = width*(q*d/p) when p | d (event i) and
@@ -200,8 +216,10 @@ def _collision_tables(
     y + qstep[d] to Qpoly when that field is within the diameter:
     qstep[d] = p*d/(q - p) when p < q and (q - p) | d (event iii), and
     diameter + 1, past every field, otherwise.  Terms past the diameter,
-    where no candidate lies, are left out.  Offsets, not powers: the
-    tables are O(diameter) small integers.
+    where no candidate lies, are left out.  kinds[d] = len(pshift[d]) +
+    (qstep[d] <= diameter) is the number of terms such a pair can add to
+    any one field.  Offsets, not powers: the tables are O(diameter) small
+    integers.
     """
     pshift: list[tuple[int, ...]] = [()]
     qstep = [diameter + 1]
@@ -215,7 +233,8 @@ def _collision_tables(
             )
         )
         qstep.append(p * d // r if r and d % r == 0 else diameter + 1)
-    return pshift, qstep
+    kinds = [len(s) + (step <= diameter) for s, step in zip(pshift, qstep)]
+    return pshift, qstep, kinds
 
 
 def _explore_binary(
@@ -274,15 +293,32 @@ def _explore_binary(
     The parent runs each child's filter.  Once a candidate passes its
     mask test, the parent counts the child's candidate range against the
     budget, takes the child's product and its hits, and enters the child
-    only with the candidates that survive: a child where thr exceeds
-    every possible count, or with no hit, is counted but never entered.
-    That is the point at which the child would have filtered itself, and
-    best only falls, so a filter taken then stays sound through the
-    child's loop.  The DFS therefore counts the same nodes, recurses into
-    the same children and records the same witnesses in the same order
-    as one that tests every candidate.  Per candidate of a frame that is
-    entered: 3 shift-ORs and a bit count; per child that passes, its
-    range, up to 3 |A| lookups and, when thr > 0, one product.
+    only with the candidates that survive: a child with no hit is
+    counted but never entered.  That is the point at which the child
+    would have filtered itself, and best only falls, so a filter taken
+    then stays sound through the child's loop.  The DFS therefore counts
+    the same nodes, recurses into the same children and records the
+    same witnesses in the same order as one that tests every candidate.
+
+    Most children have no hit, and a count of pair kinds finds them
+    before their product.  At any one field, a pair x < y of the child's
+    prefix with d = y - x adds at most one term of each kind it has:
+    a shift s in pshift[d] reaches field c of Apoly * Ppoly only from
+    the one term X^(c - s/width) of Apoly, and Qpoly gets at most one
+    term per pair.  So no field of N exceeds K, the sum of kinds[d]
+    (_collision_tables) over the child's pairs: the frame's own sum plus
+    kinds[e - x] for x in A.  This is the argument behind 3 C(n, 2), per
+    pair.  A child with K < thr has no hit, and is counted without its
+    pair terms or product; K also keeps 2^(width - 1) - thr >= 0 below.
+    Children of one frame differ only in e, so the child's range starts
+    at e plus a frame constant and ends at another (_child_bounds; at
+    the root, where e is the child's first gap, they are taken per
+    child), and the child's tuple is built only if it is entered.  The
+    last level (t = 1) has its own loop, with no filter: the gcd skip,
+    the image, and the record, whose comparison is the mask test, as
+    cb[0] <= 0.  Per candidate of a frame that is entered: 3 shift-ORs
+    and a bit count; per child that passes, |A| lookups for K, and only
+    when K reaches thr > 0, up to 3 |A| more, one product and its hits.
 
     Only sets whose first gap is at most their last gap are visited
     (_next_elements): the other member of each mirror-image pair has the
@@ -304,7 +340,7 @@ def _explore_binary(
     half = 1 << (width - 1)
     ones = ((1 << width * (diameter + 1)) - 1) // ((1 << width) - 1)
     high = ones << (width - 1)
-    pshift, qstep = _collision_tables(p, q, width, diameter)
+    pshift, qstep, kinds = _collision_tables(p, q, width, diameter)
 
     def rec(
         elems: tuple[int, ...],
@@ -316,17 +352,30 @@ def _explore_binary(
         Apoly: int,
         Ppoly: int,
         Qpoly: int,
+        KA: int,
         cands: range | list[int],
     ) -> None:
         nonlocal best, wits, nodes
+        if t == 1:
+            # The last element: no filter, and the record's own comparison
+            # is the mask test, as no completion bound applies (cb[0] <= 0).
+            for e in cands:
+                if g != 1 and gcd(g, e) != 1:
+                    continue  # such a set is never recorded
+                sh1 = u1 * e
+                size_e = (M | (D2 << sh1) | ((D1 | (1 << sh1)) << u2 * e)).bit_count()
+                if best is None or size_e < best:
+                    best = size_e
+                    wits = [elems + (e,)]
+                elif size_e == best:
+                    wits.append(elems + (e,))
+            return
         cbt = cb[t - 1]
-        # What filtering a child takes; a last-level frame (t = 1) has none.
-        n = len(elems) + 1  # a child's prefix size
-        grow = fresh * n + 1 + cb[t - 2]  # a child's new terms and completion bound
-        most = 3 * n * (n - 1) // 2  # a child's largest collision count
+        grow = fresh * (len(elems) + 1) + 1 + cb[t - 2]  # a child's new terms and completion bound
+        root = len(elems) == 1
+        if not root:
+            step, stop = _child_bounds(elems[1], t, diameter)
         for e in cands:
-            if t == 1 and g != 1 and gcd(g, e) != 1:
-                continue  # such a set is never recorded
             sh1 = u1 * e
             sh2 = u2 * e
             D1e = D1 | (1 << sh1)
@@ -334,20 +383,17 @@ def _explore_binary(
             size_e = Me.bit_count()
             if best is not None and size_e + cbt > best:
                 continue
-            if t == 1:
-                if best is None or size_e < best:
-                    best = size_e
-                    wits = [elems + (e,)]
-                elif size_e == best:
-                    wits.append(elems + (e,))
-                continue
-            child = elems + (e,)
-            grand = _next_elements(child, t - 1, diameter)
-            nodes += len(grand)
+            if root:
+                step, stop = _child_bounds(e, t, diameter)
+            lo = e + step
+            nodes += stop - lo
             if budget is not None and nodes > budget:
                 raise _budget_exceeded(budget, budget + 1)
+            K = KA  # the child's pair kinds: no field of its N exceeds K
+            for x in elems:
+                K += kinds[e - x]
             thr = 0 if best is None else size_e + grow - best
-            if thr > most:
+            if thr > K:
                 continue  # no count reaches thr; half - thr below stays >= 0 otherwise
             Ae, Pe, Qe = Apoly | (1 << width * e), Ppoly, Qpoly
             for x in elems:
@@ -358,7 +404,6 @@ def _explore_binary(
                     Qe += 1 << width * s
             if thr > 0:
                 N = Ae * Pe + Qe
-                lo, stop = grand.start, grand.stop
                 hits = ((N >> width * lo) + ones * (half - thr)) & high
                 grand = []
                 while hits:
@@ -370,8 +415,10 @@ def _explore_binary(
                     hits ^= low
                 if not grand:
                     continue
+            else:
+                grand = range(lo, stop)
             rec(
-                child,
+                elems + (e,),
                 g if g == 1 else gcd(g, e),
                 D1e,
                 D2 | (1 << sh2),
@@ -380,6 +427,7 @@ def _explore_binary(
                 Ae,
                 Pe,
                 Qe,
+                K,
                 grand,
             )
 
@@ -387,7 +435,7 @@ def _explore_binary(
     nodes = 1 + len(cands)  # the root {0}, budget-checked by search_min, and its children
     if budget is not None and nodes > budget:
         raise _budget_exceeded(budget, budget + 1)
-    rec((0,), 0, 1, 1, 1, k - 1, 1, 0, 0, cands)
+    rec((0,), 0, 1, 1, 1, k - 1, 1, 0, 0, 0, cands)
     return best, wits, nodes
 
 
@@ -409,11 +457,13 @@ def _explore_general(
     whatever |A| is, taken in Horner order so the early ones act on
     short masks.  Only a child that is recursed into builds its own
     table, in order of growing |T|, by
-    M_T(A + {e}) = M_T(A) | OR over distinct v in T of M_{T - v}(A + {e}) << v*e.
-    A last element that leaves the gcd above 1 is counted and skipped
-    with no mask work: such a set is never recorded.  Other last
-    elements are recorded inline, as no completion bound applies to
-    them (cb[0] <= 0).
+    M_T(A + {e}) = M_T(A) | OR over distinct v in T of M_{T - v}(A + {e}) << v*e:
+    one precomputed list of (T, T - v, v) steps applied in order to a
+    copy of the parent's table, whose last entry, T = coeffs, is the
+    child's image.  The last element has its own loop: one that leaves
+    the gcd above 1 is counted and skipped with no mask work, as such a
+    set is never recorded, and the others are recorded inline, as no
+    completion bound applies to them (cb[0] <= 0).
 
     Most candidates never build the full image.  Write S_w for the group
     of subset sum w shifted into place: the values G_w + (u_total - w)e,
@@ -436,9 +486,13 @@ def _explore_general(
     every candidate the exact test keeps passes it: nodes, children and
     witnesses are those of building every full image.  h is 3 at inner
     levels and 1 at the last one, at most the nf2 - 2 nonzero sums below
-    u_total (the {0} of w = 0 always stays in the tail).  Per candidate:
-    h shift-ORs and a bit count; per candidate that passes, nf2 - 1 - h
-    more and a second bit count.
+    u_total (the {0} of w = 0 always stays in the tail).  Each level's
+    head is unrolled; a form with fewer sums pads it in front with
+    empty groups and shifts 0, which leave the head as it is.  A frame
+    ORs only its head groups when it starts, and its tail groups when
+    the first candidate passes the head bound, so a frame where none
+    does builds no tail.  Per candidate: h shift-ORs and a bit count;
+    per candidate that passes, nf2 - 1 - h more and a second bit count.
 
     Visits one member of each mirror-image pair, and returns and counts
     nodes against the budget, as _explore_binary does.
@@ -449,14 +503,25 @@ def _explore_general(
     nodes = 1  # the root {0}, budget-checked by search_min
     steps, horner = _frame_layout(coeffs)
     full = len(steps) - 1
-    shifts = [d for d, _ in horner]
+    flat = [(i, j, v) for i in range(1, full) for j, v in steps[i]]
     groups = len(horner)
 
-    def split(h: int) -> tuple[int, int]:
-        # The first of the h + 1 head groups (the h largest sums below
-        # u_total, and u_total), and the shift that joins the tail.
+    def split(h: int) -> tuple[list, list[int], list, int]:
+        # A level's head: the members of its h + 1 groups (the h largest
+        # sums below u_total, and u_total), padded in front with empty
+        # groups, and the h shifts between them; its tail: (shift,
+        # members) of every other group; and the shift that joins the tail.
         cut = groups - 1 - min(h, groups - 1)
-        return cut, sum(shifts[cut:])
+        pad = h - (groups - 1 - cut)
+        heads = [()] * pad + [members for _, members in horner[cut:]]
+        shifts = [0] * pad + [d for d, _ in horner[cut + 1 :]]
+        return heads, shifts, horner[:cut], sum(d for d, _ in horner[cut:])
+
+    def group(table: list[int], members: list[int]) -> int:
+        G = 0
+        for i in members:
+            G |= table[i]
+        return G
 
     # Head sizes h (inner levels, last level), by CPU time for the 17
     # three- and four-variable nf-deep forms at k = 5 against building
@@ -464,56 +529,64 @@ def _explore_general(
     # 0.93x, (2,1) 0.73x, (3,1) 0.70x, (4,1) 0.74x, (3,2) 0.72x, and
     # 0.96x with every group in the head.  A wider head prunes little
     # more and costs every candidate a long shift-OR.
-    inner, last = split(3), split(1)
+    inner_head, (d1, d2, d3), inner_tail, inner_join = split(3)
+    last_head, (d0,), last_tail, last_join = split(1)
 
     def rec(elems: tuple[int, ...], g: int, table: list[int], t: int) -> None:
         nonlocal best, wits, nodes
-        grouped = []
-        for _, members in horner:
-            G = 0
-            for i in members:
-                G |= table[i]
-            grouped.append(G)
-        cut, join = last if t == 1 else inner
-        top = grouped[cut]
-        head = list(zip(shifts[cut + 1 :], grouped[cut + 1 :]))
-        tail = list(zip(shifts[:cut], grouped[:cut]))
         cands = _next_elements(elems, t, diameter)
         nodes += len(cands)
         if budget is not None and nodes > budget:
             raise _budget_exceeded(budget, budget + 1)
-        cbt = cb[t - 1]
-        rest = cut + 1 + cbt  # a top per tail sum, and the completion bound
-        for e in cands:
-            if t == 1 and g != 1 and gcd(g, e) != 1:
-                continue
-            Me = top
-            for d, G in head:
-                Me = (Me << (d * e)) | G
-            if best is not None and Me.bit_count() + rest > best:
-                continue
-            T = 1
-            for d, G in tail:
-                T = (T << (d * e)) | G
-            Me |= T << (join * e)
-            del T  # only the image is kept, as _search_bits counts
-            size_e = Me.bit_count()
-            if t == 1:
+        tail = None  # (shift, group) pairs, built when a candidate first needs them
+        if t == 1:
+            # The last element: a set of gcd > 1 is never recorded, and
+            # the record's own comparison is the exact test (cb[0] <= 0).
+            head = [group(table, members) for members in last_head]
+            top, G1 = head
+            rest = len(last_tail) + 1 + cb[0]  # a top per tail sum, and the completion bound
+            for e in cands:
+                if g != 1 and gcd(g, e) != 1:
+                    continue
+                Me = (top << d0 * e) | G1
+                if best is not None and Me.bit_count() + rest > best:
+                    continue
+                if tail is None:
+                    tail = [(d, group(table, members)) for d, members in last_tail]
+                T = 1
+                for d, G in tail:
+                    T = (T << d * e) | G
+                Me |= T << last_join * e
+                del T  # only the image is kept, as _search_bits counts
+                size_e = Me.bit_count()
                 if best is None or size_e < best:
                     best = size_e
                     wits = [elems + (e,)]
                 elif size_e == best:
                     wits.append(elems + (e,))
+            return
+        head = [group(table, members) for members in inner_head]
+        top, G1, G2, G3 = head
+        cbt = cb[t - 1]
+        rest = len(inner_tail) + 1 + cbt
+        for e in cands:
+            Me = (((((top << d1 * e) | G1) << d2 * e) | G2) << d3 * e) | G3
+            if best is not None and Me.bit_count() + rest > best:
                 continue
+            if tail is None:
+                tail = [(d, group(table, members)) for d, members in inner_tail]
+            T = 1
+            for d, G in tail:
+                T = (T << d * e) | G
+            Me |= T << inner_join * e
+            del T
+            size_e = Me.bit_count()
             if best is not None and size_e + cbt > best:
                 continue
-            child = [1]
-            for i in range(1, full):
-                M = table[i]
-                for j, v in steps[i]:
-                    M |= child[j] << (v * e)
-                child.append(M)
-            child.append(Me)
+            child = table.copy()
+            for i, j, v in flat:
+                child[i] |= child[j] << v * e
+            child[full] = Me
             rec(elems + (e,), g if g == 1 else gcd(g, e), child, t - 1)
 
     rec((0,), 0, [1] * (full + 1), k - 1)

@@ -21,7 +21,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .engine import ExtremalResult, compute_mf, compute_nf, search_diameter
 from .errors import BudgetExceeded, DiameterTooSmall, InputError
@@ -150,6 +150,21 @@ def spectrum(f: LinearForm, k: int, diameter: int | None = None) -> SpectrumRepo
     )
 
 
+def _scan_forms(problem: str, m: int, max_coeff: int) -> Iterator[tuple[LinearForm, bool]]:
+    """The (form, complete) pairs the scan of problem walks, lazily."""
+    if problem == "completeness":
+        return ((f, False) for f in enumerate_normalized(m, max_coeff) if not is_complete(f))
+    return ((f, is_complete(f)) for f in enumerate_normalized(m, max_coeff))
+
+
+def _within_budget(forms: Iterable[tuple[LinearForm, bool]]) -> list[tuple[LinearForm, bool]]:
+    """Every item of forms, drawn at most SCAN_BUDGET + 1 deep; BudgetExceeded past SCAN_BUDGET."""
+    forms = list(islice(forms, SCAN_BUDGET + 1))
+    if len(forms) > SCAN_BUDGET:
+        raise BudgetExceeded(f"scan would walk more than {SCAN_BUDGET} forms")
+    return forms
+
+
 def _scan(
     problem: str,
     forms: Iterable[tuple[LinearForm, bool]],
@@ -158,11 +173,8 @@ def _scan(
     **search: int | None,
 ) -> tuple[ScanFinding, ...]:
     """Search each (form, complete) at k, refusing over SCAN_BUDGET forms before the first."""
-    forms = list(islice(forms, SCAN_BUDGET + 1))
-    if len(forms) > SCAN_BUDGET:
-        raise BudgetExceeded(f"scan would walk more than {SCAN_BUDGET} forms")
     findings = []
-    for f, complete in forms:
+    for f, complete in _within_budget(forms):
         res = compute_nf(f, k, **search)
         predicted = complete_formula(f.u_total, k)
         status, detail = verdict(f, res, complete, predicted)
@@ -196,7 +208,7 @@ def scan_completeness_converse(
     counterexample; a best value below it is consistent; an open
     bracket that still allows equality is inconclusive.
     """
-    forms = ((f, False) for f in enumerate_normalized(m, max_coeff) if not is_complete(f))
+    forms = _scan_forms("completeness", m, max_coeff)
     return _scan("completeness", forms, k, _completeness_verdict, diameter=diameter)
 
 
@@ -232,5 +244,5 @@ def scan_ap_minimizer_converse(
     progression-only minimizers make a candidate counterexample.
     Minimizer lists are only trusted when the minimum is exact.
     """
-    forms = ((f, is_complete(f)) for f in enumerate_normalized(m, max_coeff))
+    forms = _scan_forms("ap-minimizers", m, max_coeff)
     return _scan("ap-minimizers", forms, k, _ap_verdict, diameter=diameter, witness_cap=None)

@@ -512,6 +512,25 @@ class TestCliScan:
         assert [json.loads(line)["coeffs"] for line in out.splitlines()] == [[1]]
         assert err == "scan done: 1 consistent\n"
 
+    def test_budget_bounds_the_run(self, capsys, monkeypatch):
+        # (2, 4) has 4 incomplete normalized forms, so one slice (m, k)
+        # fits a budget of 5, but the run over k = 2 and 3 walks 8: it is
+        # refused before the first search, with nothing on stdout.
+        from linforms import explorer
+
+        monkeypatch.setattr(explorer, "SCAN_BUDGET", 5)
+        args = ("scan", "--problem", "completeness", "--max-m", "2", "--max-coeff", "4")
+        code, out, err = run(capsys, *args, "--max-k", "2")
+        assert (code, len(out.splitlines())) == (0, 4)
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before the budget check")
+
+        monkeypatch.setattr(explorer, "compute_nf", no_search)
+        code, out, err = run(capsys, *args, "--max-k", "3")
+        assert (code, out) == (3, "")
+        assert err == "error: scan would walk more than 5 forms\n"
+
     def test_deterministic(self, capsys):
         args = ("scan", "--max-m", "2", "--max-coeff", "5", "--max-k", "3")
         _, first, _ = run(capsys, *args)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import inspect
 import itertools
 import math
 import sys
@@ -282,8 +283,8 @@ class TestSearchMin:
 
     def test_bits_bound_the_masks_kept(self):
         # At every return from the general kernel's deepest level, the
-        # tables and groups of the frames on the stack plus the last image
-        # fit the count the cap checks.
+        # tables, head groups and tail groups (once built) of the frames on
+        # the stack plus the last image fit the count the cap checks.
         f, k, diameter = LinearForm((1, 2, 2, 3)), 4, 9
         peak = 0
 
@@ -296,7 +297,8 @@ class TestSearchMin:
                 if frame.f_code.co_name == "rec":
                     local = frame.f_locals
                     bits += sum(M.bit_length() for M in local["table"])
-                    bits += sum(G.bit_length() for G in local["grouped"])
+                    bits += sum(G.bit_length() for G in local.get("head", ()))
+                    bits += sum(G.bit_length() for _, G in local.get("tail") or ())
                 frame = frame.f_back
             peak = max(peak, bits)
 
@@ -565,7 +567,7 @@ class TestCollisionFilter:
                 g = math.gcd(u1, u2)
                 p, q = u1 // g, u2 // g
                 fresh = 1 if u1 == u2 else 2
-                pshift, qstep = engine._collision_tables(p, q, width, diameter)
+                pshift, qstep, _ = engine._collision_tables(p, q, width, diameter)
                 for n in range(1, 5):
                     for rest in itertools.combinations(range(1, 11), n - 1):
                         elems = (0, *rest)
@@ -669,11 +671,73 @@ class TestCollisionFilter:
         assert out.nodes == 270_001
         assert frames == 1_061
 
+    def test_pair_kinds_skip_most_products(self):
+        # (1,11) at k=6: a child whose pair-kind count is below thr cannot
+        # have a hit, so the parent takes only these products (16,566
+        # without the count), and the DFS is unchanged.
+        source, first = inspect.getsourcelines(engine._explore_binary)
+        line = first + next(i for i, text in enumerate(source) if "N = Ae * Pe + Qe" in text)
+        products = 0
+
+        def trace_rec(frame, event, arg):
+            nonlocal products
+            products += event == "line" and frame.f_lineno == line
+            return trace_rec
+
+        sys.settrace(lambda frame, event, arg: trace_rec if frame.f_code.co_name == "rec" else None)
+        try:
+            out = search_min(LinearForm((1, 11)), 6, 60)
+        finally:
+            sys.settrace(None)
+        assert out.nodes == 270_001
+        assert products == 1_779
+
+    def test_pair_kinds_bound_every_count(self):
+        # For every two-variable form with coefficients <= 7, every prefix
+        # {0, ...} within 10 and every candidate up to the diameter 16, the
+        # candidate's event count does not exceed the prefix's pair-kind
+        # count, the sum of kinds[y - x] over its pairs, and sometimes meets it.
+        diameter = 16
+        checks = tight = 0
+        for f in enumerate_normalized(2, 7):
+            u1, u2 = f.coeffs
+            g = math.gcd(u1, u2)
+            _, _, kinds = engine._collision_tables(u1 // g, u2 // g, 1, diameter)
+            for n in range(1, 11):
+                for rest in itertools.combinations(range(1, 11), n - 1):
+                    elems = (0, *rest)
+                    K = sum(kinds[y - x] for x, y in itertools.combinations(elems, 2))
+                    for events in collision_events(f.coeffs, elems, diameter).values():
+                        assert events <= K, (f.coeffs, elems)
+                        tight += events == K > 0
+                        checks += 1
+        assert checks == 128_898
+        assert tight > 0
+
+    def test_child_bounds_match_next_elements(self):
+        # For every prefix {0, ...} within 10, every t > 1 slots open and
+        # every candidate e of the frame, the per-frame constants give the
+        # child's candidates exactly (the first gap is e at the root).
+        diameter = 10
+        checks = 0
+        for n in range(1, diameter + 1):
+            for rest in itertools.combinations(range(1, diameter + 1), n - 1):
+                elems = (0, *rest)
+                for t in range(2, diameter + 2 - n):
+                    for e in engine._next_elements(elems, t, diameter):
+                        a1 = elems[1] if n > 1 else e
+                        step, stop = engine._child_bounds(a1, t, diameter)
+                        child = engine._next_elements(elems + (e,), t - 1, diameter)
+                        assert (e + step, stop) == (child.start, child.stop), (elems, t, e)
+                        checks += 1
+        assert checks == 677
+
     def test_head_bound_leaves_few_full_images(self):
         # (2,5,7) at k=5: every candidate gets the head bound, the first
-        # bit_count of the loop, once a best exists; only these build the
-        # full image and get the exact test, the second (24,202 when every
-        # candidate built one).
+        # bit_count of its level's loop, once a best exists; only these
+        # build the full image and get the exact test, the second (24,202
+        # when every candidate built one).  The inner levels and the last
+        # one each have a loop; the counts are summed over both.
         calls = collections.Counter()
 
         def profile(frame, event, arg):
@@ -687,7 +751,10 @@ class TestCollisionFilter:
         finally:
             sys.setprofile(None)
         assert out.nodes == 27_156
-        assert [calls[line] for line in sorted(calls)] == [24_198, 3_156]
+        lines = sorted(calls)
+        assert len(lines) == 4  # (head, full) in each loop
+        heads, fulls = lines[0::2], lines[1::2]
+        assert [sum(calls[line] for line in role) for role in (heads, fulls)] == [24_198, 3_156]
 
     def test_head_bound_never_exceeds_the_image(self):
         # For f(A + {e}) = union over subset sums w of S_w = G_w + (u_total - w)e,
