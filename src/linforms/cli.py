@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 
@@ -24,12 +23,10 @@ from .explorer import (
     STATUS_CONSISTENT,
     STATUS_INCONCLUSIVE,
     STATUS_THEOREM_CONFLICT,
-    scan_ap_minimizer_converse,
-    scan_completeness_converse,
     spectrum,
 )
 from .forms import parse_coeffs
-from .theory import SUITES, SuiteBounds, verify_suite
+from .theory import SUITES, SuiteBounds, _verify
 
 
 def _fmt_set(elems) -> str:
@@ -140,14 +137,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     all_passed = True
-    for name in suites:
-        report = verify_suite(name, bounds)
+    for report in _verify(suites, bounds):
         all_passed = all_passed and report.passed
         if args.json:
             print(json.dumps(report.to_json()))
         else:
             verdict = "passed" if report.passed else "FAILED"
-            print(f"suite {name}: checked {report.checked}, {verdict}")
+            print(f"suite {report.suite}: checked {report.checked}, {verdict}")
             for bad in report.mismatches:
                 print(f"  mismatch: {bad}")
     return 0 if all_passed else 1
@@ -159,37 +155,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
             f"need --max-m, --max-coeff >= 1 and --max-k >= 2, got "
             f"{args.max_m}, {args.max_coeff}, {args.max_k}"
         )
-    problems = (
-        ["completeness", "ap-minimizers"] if args.problem == "all" else [args.problem]
-    )
+    problems = list(explorer._PROBLEMS) if args.problem == "all" else [args.problem]
     statuses = (STATUS_CONSISTENT, STATUS_CANDIDATE, STATUS_INCONCLUSIVE, STATUS_THEOREM_CONFLICT)
     counts = dict.fromkeys(statuses, 0)
-    slices = [
-        (problem, m, k)
-        for problem in problems
-        for m in range(1, args.max_m + 1)
-        for k in range(2, args.max_k + 1)
-    ]
-    # One budget for the run: every slice's forms are counted before the first search.
-    explorer._within_budget(
-        itertools.chain.from_iterable(
-            explorer._scan_forms(problem, m, args.max_coeff) for problem, m, _ in slices
-        )
-    )
-    for problem, m, k in slices:
-        runner = (
-            scan_completeness_converse
-            if problem == "completeness"
-            else scan_ap_minimizer_converse
-        )
-        for finding in runner(m, args.max_coeff, k, diameter=args.diameter):
-            counts[finding.status] += 1
-            print(json.dumps(finding.to_json()))
-    print(
-        "scan done: "
-        + ", ".join(f"{v} {k}" for k, v in counts.items() if v),
-        file=sys.stderr,
-    )
+    ms, ks = range(1, args.max_m + 1), range(2, args.max_k + 1)
+    slices = [(problem, m, args.max_coeff, k) for problem in problems for m in ms for k in ks]
+    for finding in explorer._scan(slices, args.diameter):
+        counts[finding.status] += 1
+        print(json.dumps(finding.to_json()))
+    summary = ", ".join(f"{v} {k}" for k, v in counts.items() if v)
+    print(f"scan done: {summary}", file=sys.stderr)
     return 1 if counts[STATUS_CANDIDATE] or counts[STATUS_THEOREM_CONFLICT] else 0
 
 
@@ -258,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ver.set_defaults(func=cmd_verify)
 
     p_scan = sub.add_parser("scan", help="conjecture scans (JSON-lines findings on stdout)")
-    p_scan.add_argument("--problem", choices=["completeness", "ap-minimizers", "all"], default="all")
+    p_scan.add_argument("--problem", choices=[*explorer._PROBLEMS, "all"], default="all")
     p_scan.add_argument("--max-m", type=int, default=3)
     p_scan.add_argument("--max-coeff", type=int, default=5)
     p_scan.add_argument("--max-k", type=int, default=4)

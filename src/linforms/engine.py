@@ -71,6 +71,7 @@ from .errors import (
     InputError,
     LinformsError,
     NotCertifiedExact,
+    ValueOverflow,
 )
 from .forms import LinearForm, subset_sums
 from .sets import KSet, checked_elems, image
@@ -790,12 +791,13 @@ def compute_nf(
     prunes with regardless.  The upper bound is one search_min over
     diameter (None means u_total * (k - 1)), which alone draws on
     node_budget (None is unlimited) and keeps the first witness_cap
-    witnesses (None keeps every one).
+    witnesses (None keeps every one).  The search runs first, so its
+    argument checks and caps refuse before the O(k^2) certificate.
     """
     diameter = search_diameter(f, k, diameter)
+    out = search_min(f, k, diameter, witness_cap=witness_cap, node_budget=node_budget)
     cert = lower_certificate(f, k, ladder_max_ell)
     check_certificate(f, k, cert)
-    out = search_min(f, k, diameter, witness_cap=witness_cap, node_budget=node_budget)
     if out.best < cert.bound:
         raise LinformsError(
             f"internal: search found {out.best} under certificate {cert.bound} for {f}, k={k}"
@@ -825,6 +827,10 @@ def compute_mf(f: LinearForm, k: int) -> MaxResult:
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
     g = f.m * f.coeffs[-1] + 1
+    if k >= 64:  # g >= 2, so g^(k-1) alone has k bits: refused before any power is built
+        raise ValueOverflow(
+            f"|f| can reach a value of {k} or more bits, beyond signed 64-bit range"
+        )
     witness = checked_elems(f, (g**i for i in range(k)))
     return MaxResult(value=len(image(f, witness)), witness=witness, base=g)
 

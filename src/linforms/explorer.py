@@ -13,6 +13,8 @@ A scan never treats an open bracket as evidence: a form whose minimum
 is not certified exact is reported inconclusive, and candidate
 counterexamples are only flagged on exact values.  Everything is
 relative to the searched diameter, which is recorded in each finding.
+Scans share the verify suites' runner: a run draws every slice's forms
+once, against one SCAN_BUDGET, before the first search.
 """
 
 from __future__ import annotations
@@ -20,14 +22,15 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, islice
-from typing import Callable, Iterable, Iterator
+from functools import partial
+from itertools import combinations
+from typing import Iterable, Iterator
 
 from .engine import ExtremalResult, compute_mf, compute_nf, search_diameter
 from .errors import BudgetExceeded, DiameterTooSmall, InputError
 from .forms import LinearForm, enumerate_normalized, is_complete
-from .sets import image_mask, is_arithmetic_progression
-from .theory import complete_formula
+from .sets import _shown, image_mask, is_arithmetic_progression
+from .theory import _run, complete_formula
 
 STATUS_CONSISTENT = "consistent"
 STATUS_CANDIDATE = "candidate-counterexample"
@@ -39,7 +42,7 @@ STATUS_THEOREM_CONFLICT = "theorem-conflict"
 #: Spectrum enumeration refuses more candidate sets than this.
 SPECTRUM_BUDGET = 10**6
 
-#: A scan refuses to walk more forms than this.
+#: A scan run refuses to walk more forms than this, over all its slices.
 SCAN_BUDGET = 10_000
 
 
@@ -123,9 +126,10 @@ def spectrum(f: LinearForm, k: int, diameter: int | None = None) -> SpectrumRepo
     D = search_diameter(f, k, diameter)
     if D < k - 1:
         raise DiameterTooSmall(f"diameter {D} cannot hold {k} distinct integers")
-    if math.comb(D, k - 1) > SPECTRUM_BUDGET:
+    sets = math.comb(D, k - 1)
+    if sets > SPECTRUM_BUDGET:
         raise BudgetExceeded(
-            f"{math.comb(D, k - 1)} candidate sets exceed the spectrum budget {SPECTRUM_BUDGET}"
+            f"{_shown(sets)} candidate sets exceed the spectrum budget {SPECTRUM_BUDGET}"
         )
     counts: Counter[int] = Counter()
     if k == 1:
@@ -150,42 +154,32 @@ def spectrum(f: LinearForm, k: int, diameter: int | None = None) -> SpectrumRepo
     )
 
 
-def _scan_forms(problem: str, m: int, max_coeff: int) -> Iterator[tuple[LinearForm, bool]]:
-    """The (form, complete) pairs the scan of problem walks, lazily."""
-    if problem == "completeness":
-        return ((f, False) for f in enumerate_normalized(m, max_coeff) if not is_complete(f))
-    return ((f, is_complete(f)) for f in enumerate_normalized(m, max_coeff))
+def _scan(slices: Iterable[tuple], diameter: int | None) -> Iterator[ScanFinding]:
+    """Findings of every (problem, m, max_coeff, k) slice, in order.
 
+    Every slice's (form, complete) pairs are drawn through one budget
+    before the first search: over SCAN_BUDGET forms in all is refused.
+    """
 
-def _within_budget(forms: Iterable[tuple[LinearForm, bool]]) -> list[tuple[LinearForm, bool]]:
-    """Every item of forms, drawn at most SCAN_BUDGET + 1 deep; BudgetExceeded past SCAN_BUDGET."""
-    forms = list(islice(forms, SCAN_BUDGET + 1))
-    if len(forms) > SCAN_BUDGET:
-        raise BudgetExceeded(f"scan would walk more than {SCAN_BUDGET} forms")
-    return forms
-
-
-def _scan(
-    problem: str,
-    forms: Iterable[tuple[LinearForm, bool]],
-    k: int,
-    verdict: Callable[[LinearForm, ExtremalResult, bool, int], tuple[str, str]],
-    **search: int | None,
-) -> tuple[ScanFinding, ...]:
-    """Search each (form, complete) at k, refusing over SCAN_BUDGET forms before the first."""
-    findings = []
-    for f, complete in _within_budget(forms):
-        res = compute_nf(f, k, **search)
+    def finding(problem: str, k: int, f: LinearForm, complete: bool) -> list[ScanFinding]:
+        _, verdict, search = _PROBLEMS[problem]
+        res = compute_nf(f, k, diameter=diameter, **search)
         predicted = complete_formula(f.u_total, k)
         status, detail = verdict(f, res, complete, predicted)
-        findings.append(
+        return [
             ScanFinding(
                 problem=problem, form=f, k=k, diameter=res.diameter_searched,
                 lower=res.lower, best=res.best, exact=res.exact, predicted=predicted,
                 complete=complete, status=status, detail=detail,
             )
-        )
-    return tuple(findings)
+        ]
+
+    parts = (
+        (_PROBLEMS[problem][0](m, max_coeff), partial(finding, problem, k))
+        for problem, m, max_coeff, k in slices
+    )
+    for _, findings in _run(parts, SCAN_BUDGET, f"scan would walk more than {SCAN_BUDGET} forms"):
+        yield from findings
 
 
 def _completeness_verdict(
@@ -208,8 +202,7 @@ def scan_completeness_converse(
     counterexample; a best value below it is consistent; an open
     bracket that still allows equality is inconclusive.
     """
-    forms = _scan_forms("completeness", m, max_coeff)
-    return _scan("completeness", forms, k, _completeness_verdict, diameter=diameter)
+    return tuple(_scan([("completeness", m, max_coeff, k)], diameter))
 
 
 def _ap_verdict(
@@ -244,5 +237,18 @@ def scan_ap_minimizer_converse(
     progression-only minimizers make a candidate counterexample.
     Minimizer lists are only trusted when the minimum is exact.
     """
-    forms = _scan_forms("ap-minimizers", m, max_coeff)
-    return _scan("ap-minimizers", forms, k, _ap_verdict, diameter=diameter, witness_cap=None)
+    return tuple(_scan([("ap-minimizers", m, max_coeff, k)], diameter))
+
+
+# problem -> (its (form, complete) pairs at (m, max_coeff), drawn lazily;
+# its verdict; the compute_nf keywords its verdict needs beyond the diameter)
+_PROBLEMS = {
+    "completeness": (
+        lambda m, c: ((f, False) for f in enumerate_normalized(m, c) if not is_complete(f)),
+        _completeness_verdict, {},
+    ),
+    "ap-minimizers": (
+        lambda m, c: ((f, is_complete(f)) for f in enumerate_normalized(m, c)),
+        _ap_verdict, {"witness_cap": None},
+    ),
+}

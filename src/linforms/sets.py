@@ -122,6 +122,11 @@ def is_arithmetic_progression(elems: Sequence[int]) -> bool:
     return all(b - a == step for a, b in zip(xs, xs[1:]))
 
 
+def _shown(n: int) -> int | str:
+    """n, or "over 2^b" past 64 bits: str() refuses ints of over 4,300 digits."""
+    return n if n.bit_length() <= 64 else f"over 2^{n.bit_length() - 1}"
+
+
 def _check_image_bytes(f: LinearForm, xs: Sequence[int], vector_len: int = 0) -> None:
     """CapacityExceeded if f(xs), xs sorted, could take over IMAGE_BYTES_CAP bytes.
 
@@ -142,7 +147,7 @@ def _check_image_bytes(f: LinearForm, xs: Sequence[int], vector_len: int = 0) ->
         per_value += _TUPLE_BYTES + (8 if f.u_total <= 256 else 40) * vector_len
     if count * per_value > IMAGE_BYTES_CAP:
         raise CapacityExceeded(
-            f"{count} values of {bits} bits would need {count * per_value} bytes "
+            f"{_shown(count)} values of {bits} bits would need {_shown(count * per_value)} bytes "
             f"(cap {IMAGE_BYTES_CAP})"
         )
 
@@ -191,7 +196,9 @@ def checked_elems(f: LinearForm, elems: Iterable[int]) -> tuple[int, ...]:
             raise DuplicateElements(f"repeated element {a}")
     worst = max(abs(xs[0]), abs(xs[-1])) * f.u_total
     if worst > INT64_MAX:
-        raise ValueOverflow(f"|f| can reach {worst}, beyond signed 64-bit range")
+        raise ValueOverflow(
+            f"|f| can reach a {worst.bit_length()}-bit value, beyond signed 64-bit range"
+        )
     return tuple(xs)
 
 

@@ -18,7 +18,9 @@ special families:
 
 Each suite replays one of these statements against the engine over a
 bounded slice of form space and reports mismatches instead of raising,
-so a failing suite is data, not a crash.
+so a failing suite is data, not a crash.  The suites and the converse
+scans share one runner (_run), which draws all the instances of a run
+through one budget before the first check.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .engine import ExtremalResult, compute_mf, compute_nf, exact_nf2
 from .errors import (
@@ -44,8 +46,8 @@ from .forms import (
 )
 from .sets import is_arithmetic_progression
 
-#: A verify suite touching more than this many (form, k) instances is refused
-#: (the budget holds per suite, not per run).
+#: A verify run touching more than this many (form, k) instances, over all
+#: its suites, is refused before the first check.
 INSTANCE_BUDGET = 100_000
 
 
@@ -180,14 +182,24 @@ class VerificationReport:
         }
 
 
-def _replay(
-    pairs: Iterable[tuple[LinearForm, int]], check: Callable[[LinearForm, int], list[str]]
-) -> tuple[int, list[str]]:
-    """Run check on every (form, k) pair; over INSTANCE_BUDGET is refused before the first."""
-    pairs = list(islice(pairs, INSTANCE_BUDGET + 1))
-    if len(pairs) > INSTANCE_BUDGET:
-        raise BudgetExceeded(f"suite would touch more than {INSTANCE_BUDGET} instances")
-    return len(pairs), [msg for f, k in pairs for msg in check(f, k)]
+def _run(parts: Iterable[tuple], budget: int, refusal: str) -> Iterator[tuple[int, list]]:
+    """Yield (checked, outputs) per part, in order, after drawing every part's items.
+
+    A part is (items, check): a lazy stream of argument tuples and the
+    check mapping each one to a list of outputs.  Items are drawn at
+    most budget + 1 deep over all parts together, so a run over budget
+    raises BudgetExceeded(refusal) before the first check, in memory
+    bounded by the budget.
+    """
+    drawn, left = [], budget + 1
+    for items, check in parts:
+        items = list(islice(items, left))
+        left -= len(items)
+        if not left:
+            raise BudgetExceeded(refusal)
+        drawn.append((items, check))
+    for items, check in drawn:
+        yield len(items), [out for item in items for out in check(*item)]
 
 
 def _expect_exact(f: LinearForm, k: int, want: int, res: ExtremalResult) -> list[str]:
@@ -196,7 +208,7 @@ def _expect_exact(f: LinearForm, k: int, want: int, res: ExtremalResult) -> list
     return [f"{f} k={k}: expected exact {want}, got [{res.lower},{res.best}] exact={res.exact}"]
 
 
-def _suite_thm23(bounds: SuiteBounds) -> tuple[int, list[str]]:
+def _suite_thm23(bounds: SuiteBounds) -> tuple[Iterable[tuple], Callable]:
     """Strictly increasing forms never beat the (1..m) formula, which is tight."""
 
     def check(f: LinearForm, k: int) -> list[str]:
@@ -210,11 +222,10 @@ def _suite_thm23(bounds: SuiteBounds) -> tuple[int, list[str]]:
         return bad
 
     ms, ks, c = range(2, bounds.max_m + 1), range(2, bounds.max_k + 1), bounds.max_coeff
-    pairs = ((f, k) for m in ms for k in ks for f in enumerate_normalized(m, c, True))
-    return _replay(pairs, check)
+    return ((f, k) for m in ms for k in ks for f in enumerate_normalized(m, c, True)), check
 
 
-def _suite_thm31(bounds: SuiteBounds) -> tuple[int, list[str]]:
+def _suite_thm31(bounds: SuiteBounds) -> tuple[Iterable[tuple], Callable]:
     """Two-variable classification against the engine."""
 
     def check(f: LinearForm, k: int) -> list[str]:
@@ -231,10 +242,10 @@ def _suite_thm31(bounds: SuiteBounds) -> tuple[int, list[str]]:
         return bad
 
     forms = enumerate_normalized(2, bounds.max_coeff) if bounds.max_m >= 2 else ()
-    return _replay(((f, k) for f in forms for k in range(1, bounds.max_k + 1)), check)
+    return ((f, k) for f in forms for k in range(1, bounds.max_k + 1)), check
 
 
-def _suite_lem32(bounds: SuiteBounds) -> tuple[int, list[str]]:
+def _suite_lem32(bounds: SuiteBounds) -> tuple[Iterable[tuple], Callable]:
     """Ternary 2-set table against the subset-sum count."""
 
     def check(f: LinearForm, k: int) -> list[str]:
@@ -242,10 +253,10 @@ def _suite_lem32(bounds: SuiteBounds) -> tuple[int, list[str]]:
         return [] if table == direct else [f"{f}: table {table} != subset-sum count {direct}"]
 
     forms = enumerate_normalized(3, bounds.max_coeff) if bounds.max_m >= 3 else ()
-    return _replay(((f, 2) for f in forms), check)
+    return ((f, 2) for f in forms), check
 
 
-def _suite_thm41(bounds: SuiteBounds) -> tuple[int, list[str]]:
+def _suite_thm41(bounds: SuiteBounds) -> tuple[Iterable[tuple], Callable]:
     """Complete forms: exact formula and progressions as sole minimizers."""
 
     def check(f: LinearForm, k: int) -> list[str]:
@@ -267,10 +278,10 @@ def _suite_thm41(bounds: SuiteBounds) -> tuple[int, list[str]]:
 
     ms, ks = range(1, bounds.max_m + 1), range(1, bounds.max_k + 1)
     forms = (f for m in ms for f in enumerate_complete(m, bounds.max_coeff))
-    return _replay(((f, k) for f in forms for k in ks), check)
+    return ((f, k) for f in forms for k in ks), check
 
 
-def _suite_mf_bounds(bounds: SuiteBounds) -> tuple[int, list[str]]:
+def _suite_mf_bounds(bounds: SuiteBounds) -> tuple[Iterable[tuple], Callable]:
     """Maximum image size: sandwich, strict-increase floor, distinctness law."""
 
     def check(f: LinearForm, k: int) -> list[str]:
@@ -294,10 +305,10 @@ def _suite_mf_bounds(bounds: SuiteBounds) -> tuple[int, list[str]]:
 
     ms, ks = range(1, bounds.max_m + 1), range(1, bounds.max_k + 1)
     forms = (f for m in ms for f in enumerate_normalized(m, bounds.max_coeff))
-    return _replay(((f, k) for f in forms for k in ks), check)
+    return ((f, k) for f in forms for k in ks), check
 
 
-_SUITE_RUNNERS = {
+_SUITES = {
     "thm23": _suite_thm23,
     "thm31": _suite_thm31,
     "lem32": _suite_lem32,
@@ -305,14 +316,21 @@ _SUITE_RUNNERS = {
     "mf_bounds": _suite_mf_bounds,
 }
 
-SUITES = tuple(_SUITE_RUNNERS)
+SUITES = tuple(_SUITES)
+
+
+def _verify(names: list[str], bounds: SuiteBounds) -> Iterator[VerificationReport]:
+    """One report per named suite, as each finishes; the run is refused over INSTANCE_BUDGET."""
+    if unknown := [name for name in names if name not in _SUITES]:
+        raise InputError(f"unknown suite {unknown[0]!r}; choose from {', '.join(SUITES)}")
+    noun = "suite" if len(names) == 1 else "suites"
+    refusal = f"{noun} would touch more than {INSTANCE_BUDGET} instances"
+    runs = _run((_SUITES[name](bounds) for name in names), INSTANCE_BUDGET, refusal)
+    for name, (checked, bad) in zip(names, runs):
+        yield VerificationReport(suite=name, bounds=bounds, checked=checked, mismatches=tuple(bad))
 
 
 def verify_suite(suite: str, bounds: SuiteBounds) -> VerificationReport:
     """Replay one named statement against the engine over bounded forms."""
-    if suite not in _SUITE_RUNNERS:
-        raise InputError(f"unknown suite {suite!r}; choose from {', '.join(SUITES)}")
-    checked, bad = _SUITE_RUNNERS[suite](bounds)
-    return VerificationReport(
-        suite=suite, bounds=bounds, checked=checked, mismatches=tuple(bad)
-    )
+    (report,) = _verify([suite], bounds)
+    return report

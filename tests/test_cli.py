@@ -17,7 +17,7 @@ from oracles import random_form_coeffs
 from linforms import __version__, cache
 from linforms.cli import main
 from linforms.engine import compute_nf
-from linforms.forms import LinearForm
+from linforms.forms import LinearForm, enumerate_normalized
 
 
 def run(capsys, *argv):
@@ -409,6 +409,23 @@ class TestCliMf:
         }
 
 
+class TestCliHugeK:
+    """Huge-k refusals exit 3: no huge count is printed in decimal digits (str() refuses
+    ints of over 4,300 digits), and nf refuses before its O(k^2) certificate."""
+
+    @pytest.mark.parametrize(
+        "command,k,err",
+        [
+            ("mf", 7000, "|f| can reach a value of 7000 or more bits, beyond signed 64-bit range"),
+            ("spectrum", 6000, "over 2^16519 candidate sets exceed the spectrum budget 1000000"),
+            ("nf", 6000, "search masks would need 15226182018 bits (cap 10000000)"),
+        ],
+        ids=["mf", "spectrum", "nf"],
+    )
+    def test_exit_3(self, capsys, command, k, err):
+        assert run(capsys, command, "--coeffs", "1,2", "--k", str(k)) == (3, "", f"error: {err}\n")
+
+
 class TestCliMinimizersSpectrum:
     def test_minimizers(self, capsys):
         code, out, _ = run(capsys, "minimizers", "--coeffs", "1,2", "--k", "5")
@@ -456,18 +473,47 @@ class TestCliVerify:
         assert "need max_m, max_coeff, max_k >= 1" in err
 
     def test_failing_suite_exit_1(self, capsys, monkeypatch):
-        from linforms import cli as cli_mod
-        from linforms.theory import SuiteBounds, VerificationReport
+        from linforms import theory
 
-        def fake(suite, bounds):
-            return VerificationReport(
-                suite=suite, bounds=bounds, checked=1, mismatches=("forced",)
-            )
+        def fake(bounds):
+            return [(LinearForm((1, 1, 1)), 2)], lambda f, k: ["forced"]
 
-        monkeypatch.setattr(cli_mod, "verify_suite", fake)
+        monkeypatch.setitem(theory._SUITES, "lem32", fake)
         code, out, _ = run(capsys, "verify", "--suite", "lem32")
         assert code == 1
         assert "FAILED" in out and "forced" in out
+
+    def test_budget_bounds_the_run(self, capsys, monkeypatch):
+        # At the default bounds the suites check 27, 24, 15, 36 and 88
+        # instances: each fits a budget of 88, but the run of 190 does not.
+        # It is refused before the first check, with nothing on stdout.
+        from linforms import theory
+
+        monkeypatch.setattr(theory, "INSTANCE_BUDGET", 88)
+        code, out, _ = run(capsys, "verify", "--suite", "mf_bounds")
+        assert (code, out) == (0, "suite mf_bounds: checked 88, passed\n")
+
+        def no_check(*args, **kwargs):
+            raise AssertionError("checked before the budget check")
+
+        monkeypatch.setattr(theory, "compute_nf", no_check)
+        monkeypatch.setattr(theory, "compute_mf", no_check)
+        code, out, err = run(capsys, "verify")
+        assert (code, out) == (3, "")
+        assert err == "error: suites would touch more than 88 instances\n"
+
+    def test_real_budget_refuses_a_run_of_fitting_suites(self, capsys, monkeypatch):
+        # 116,969 instances in all; the largest suite, mf_bounds, has 82,746.
+        from linforms import theory
+
+        def no_check(*args, **kwargs):
+            raise AssertionError("checked before the budget check")
+
+        monkeypatch.setattr(theory, "compute_nf", no_check)
+        monkeypatch.setattr(theory, "compute_mf", no_check)
+        code, out, err = run(capsys, "verify", "--max-m", "4", "--max-coeff", "30", "--max-k", "2")
+        assert (code, out) == (3, "")
+        assert err == "error: suites would touch more than 100000 instances\n"
 
 
 class TestCliScan:
@@ -485,14 +531,14 @@ class TestCliScan:
 
     @pytest.mark.parametrize("status", ["candidate-counterexample", "theorem-conflict"])
     def test_alarming_finding_exit_1(self, capsys, monkeypatch, status):
-        from linforms import cli as cli_mod
+        from linforms import explorer
 
-        real = cli_mod.scan_completeness_converse
+        forms, real, search = explorer._PROBLEMS["completeness"]
 
-        def fake(m, max_coeff, k, diameter=None):
-            return [dataclasses.replace(x, status=status) for x in real(m, max_coeff, k, diameter)]
+        def fake(*args):
+            return status, real(*args)[1]
 
-        monkeypatch.setattr(cli_mod, "scan_completeness_converse", fake)
+        monkeypatch.setitem(explorer._PROBLEMS, "completeness", (forms, fake, search))
         code, out, err = run(
             capsys, "scan", "--problem", "completeness", "--max-m", "2", "--max-k", "2"
         )
@@ -530,6 +576,21 @@ class TestCliScan:
         code, out, err = run(capsys, *args, "--max-k", "3")
         assert (code, out) == (3, "")
         assert err == "error: scan would walk more than 5 forms\n"
+
+    def test_each_slice_enumerated_once(self, capsys, monkeypatch):
+        # The run budget and the searches share one walk of each slice's forms.
+        from linforms import explorer
+
+        calls = []
+
+        def counted_forms(*args):
+            calls.append(args)
+            return enumerate_normalized(*args)
+
+        monkeypatch.setattr(explorer, "enumerate_normalized", counted_forms)
+        code, out, _ = run(capsys, "scan", "--max-m", "2", "--max-coeff", "4", "--max-k", "3")
+        assert code == 0 and out
+        assert calls == [(m, 4) for _ in range(2) for m in (1, 2) for k in (2, 3)]
 
     def test_deterministic(self, capsys):
         args = ("scan", "--max-m", "2", "--max-coeff", "5", "--max-k", "3")

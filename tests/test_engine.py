@@ -801,6 +801,18 @@ class TestComputeNf:
         with pytest.raises(InputError, match="witness cap >= 0, got -1"):
             compute_nf(LinearForm((1, 3)), 3, witness_cap=-1)
 
+    def test_over_cap_search_refused_before_the_certificate(self, monkeypatch):
+        # The certificate's split recursion is O(k^2); the search's cap is
+        # checked first, with search_min's error and message.
+        def no_certificate(*args):
+            raise AssertionError("certificate built before the cap check")
+
+        monkeypatch.setattr(engine, "lower_certificate", no_certificate)
+        with pytest.raises(CapacityExceeded, match=r"^search masks would need 15226182018 bits"):
+            compute_nf(LinearForm((1, 2)), 6000)
+        with pytest.raises(InputError, match="node budget >= 0, got -1"):
+            compute_nf(LinearForm((1, 3)), 3, node_budget=-1)
+
     def test_open_bracket_reported(self):
         res = compute_nf(LinearForm((1, 3)), 4)
         assert not res.exact
@@ -977,6 +989,17 @@ class TestComputeMf:
     def test_value_overflow(self):
         with pytest.raises(ValueOverflow):
             compute_mf(LinearForm((1, 9)), 16)
+
+    def test_huge_k_refused_before_any_power(self, monkeypatch):
+        # g >= 2, so from k = 64 on the witness g^(k-1) alone is past 63
+        # bits; the message gives bits, never thousands of decimal digits.
+        assert compute_mf(LinearForm((1,)), 63).value == 63
+        with pytest.raises(ValueOverflow, match="a 93-bit value"):
+            compute_mf(LinearForm((1, 2)), 40)
+        monkeypatch.setattr(engine, "checked_elems", None)  # building the witness would fail
+        for k in (64, 7000, 20000):
+            with pytest.raises(ValueOverflow, match=f"a value of {k} or more bits"):
+                compute_mf(LinearForm((1, 2)), k)
 
     def test_never_enumerates_vectors(self, monkeypatch):
         # The maximum is measured on the witness; no vector list is built.

@@ -72,6 +72,11 @@ class TestSpectrum:
         with pytest.raises(BudgetExceeded, match="9880 candidate sets"):
             spectrum(LinearForm((1, 2)), 4, diameter=40)
 
+    def test_huge_budget_message_gives_bits(self):
+        # C(17997, 5999) has about 5,000 decimal digits, too many for str().
+        with pytest.raises(BudgetExceeded, match=r"^over 2\^16519 candidate sets"):
+            spectrum(LinearForm((1, 2)), 6000)
+
     def test_json_shape(self):
         out = spectrum(LinearForm((1, 3)), 3).to_json()
         assert list(out) == [

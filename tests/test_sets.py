@@ -143,6 +143,11 @@ class TestCompositionVectors:
         with pytest.raises(CapacityExceeded, match=r"^8000000 values of 600 bits"):
             composition_vectors(LinearForm((1, 2, 4)), 200)
 
+    def test_capacity_message_gives_bits(self):
+        # 1300^1399 vectors: a count of over 4,300 decimal digits, too many for str().
+        with pytest.raises(CapacityExceeded, match=r"^over 2\^14471 values of \d+ bits"):
+            composition_vectors(LinearForm(tuple(range(1, 1400))), 1300)
+
     def test_bad_k(self):
         with pytest.raises(EmptyInput):
             composition_vectors(LinearForm((1, 2)), 0)
@@ -173,6 +178,11 @@ class TestImages:
     def test_overflow_guard(self):
         with pytest.raises(ValueOverflow):
             image(LinearForm((1, 1)), [0, 2**62])
+
+    def test_overflow_message_gives_bits(self):
+        # 3 * 10^5000 has over 4,300 decimal digits, too many for str().
+        with pytest.raises(ValueOverflow, match=r"^\|f\| can reach a 16612-bit value"):
+            image(LinearForm((1, 2)), [0, 10**5000])
 
     @given(wide_forms, st.lists(st.integers(-200, 200), min_size=1, max_size=5, unique=True))
     def test_matches_oracle(self, f, xs):
