@@ -97,28 +97,25 @@ def _binary_nf3(f: LinearForm) -> int | None:
     return BINARY_NF3
 
 
-def lower_certificate(f: LinearForm, k: int, max_base: int = 3) -> Certificate:
-    """The split-recursion lower bound for k-sets from base sizes up to max_base.
-
-    max_base <= 2 leaves out the binary 3-set value 8, so the bound is
-    (nf2 - 1)*(k - 1) + 1.
-    """
+def lower_certificate(f: LinearForm, k: int) -> Certificate:
+    """The split-recursion lower bound for k-sets from every base value that applies."""
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
-    nf3 = _binary_nf3(f) if max_base >= 3 and f.m == 2 else None
+    nf3 = _binary_nf3(f) if f.m == 2 else None
     nf2 = len(subset_sums(f))
     bounds, splits = split_recursion(nf2, nf3, k)
     return Certificate(bounds[-1], nf2, nf3, splits)
 
 
-def check_certificate(f: LinearForm, k: int, cert: Certificate) -> None:
-    """Replay cert as a lower bound for k-sets of f, or raise BadCertificate.
+def check_certificate(f: LinearForm, k: int, cert: Certificate) -> list[int]:
+    """Replay cert as a lower bound for k-sets of f: its L(1), ..., L(k).
 
     nf2 is recounted from the subset sums, a 3-set value must be the 8
     of binary_nf3_certificate with its hypotheses met, and every split
-    must lie in 2..n-1 and lead to the recorded bound.  Splits other
-    than the ones lower_certificate picks are accepted: any split gives
-    a valid, if weaker, bound.
+    must lie in 2..n-1 and lead to the recorded bound; BadCertificate
+    otherwise.  Splits other than the ones lower_certificate picks, and
+    a certificate without the 3-set value, are accepted: each gives a
+    valid, if weaker, bound.
     """
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
@@ -146,3 +143,4 @@ def check_certificate(f: LinearForm, k: int, cert: Certificate) -> None:
             bounds.append(bounds[a - 1] + bounds[n - a] - 1)
     if bounds[-1] != cert.bound:
         raise bad(f"the splits give {bounds[-1]}, not {cert.bound}")
+    return bounds

@@ -17,7 +17,7 @@ import sys
 from . import cache as cache_mod
 from . import explorer
 from .engine import compute_mf, compute_nf, enumerate_minimizers, search_diameter
-from .errors import InputError, ResourceError
+from .errors import DiameterTooSmall, InputError, ResourceError
 from .explorer import (
     STATUS_CANDIDATE,
     STATUS_CONSISTENT,
@@ -35,7 +35,7 @@ def _fmt_set(elems) -> str:
 
 def cmd_nf(args: argparse.Namespace) -> int:
     f = parse_coeffs(args.coeffs)
-    options = dict(diameter=args.diameter, ladder_max_ell=args.ladder, node_budget=args.budget_nodes)
+    options = dict(diameter=args.diameter, node_budget=args.budget_nodes)
     diameter = search_diameter(f, args.k, args.diameter)
 
     if args.cache:
@@ -155,6 +155,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
             f"need --max-m, --max-coeff >= 1 and --max-k >= 2, got "
             f"{args.max_m}, {args.max_coeff}, {args.max_k}"
         )
+    if args.diameter is not None and args.diameter < args.max_k - 1:
+        raise DiameterTooSmall(f"diameter {args.diameter} cannot hold {args.max_k} distinct integers")
     problems = list(explorer._PROBLEMS) if args.problem == "all" else [args.problem]
     statuses = (STATUS_CONSISTENT, STATUS_CANDIDATE, STATUS_INCONCLUSIVE, STATUS_THEOREM_CONFLICT)
     counts = dict.fromkeys(statuses, 0)
@@ -163,7 +165,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     for finding in explorer._scan(slices, args.diameter):
         counts[finding.status] += 1
         print(json.dumps(finding.to_json()))
-    summary = ", ".join(f"{v} {k}" for k, v in counts.items() if v)
+    summary = ", ".join(f"{v} {k}" for k, v in counts.items() if v) or "no findings"
     print(f"scan done: {summary}", file=sys.stderr)
     return 1 if counts[STATUS_CANDIDATE] or counts[STATUS_THEOREM_CONFLICT] else 0
 
@@ -194,13 +196,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_nf = sub.add_parser("nf", help="certified minimum number of distinct values")
     add_form_args(p_nf)
     p_nf.add_argument("--diameter", type=int, default=None, help="search diameter (default u_total*(k-1))")
-    p_nf.add_argument(
-        "--ladder",
-        type=int,
-        default=4,
-        help="largest base size the reported lower bound may use; 2 or less leaves out "
-        "the binary 3-set value 8 (default 4; the search is the same)",
-    )
+    # Accepted and ignored: the benchmark's fixed nf-cached requests pass it; it goes with them.
+    p_nf.add_argument("--ladder", type=int, help=argparse.SUPPRESS)
     p_nf.add_argument("--budget-nodes", type=int, default=None, help="abort after this many search nodes")
     p_nf.add_argument("--cache", default=None, help="JSON-lines cache file")
     p_nf.add_argument("--json", action="store_true", help="machine output")

@@ -58,12 +58,7 @@ import math
 import threading
 from dataclasses import dataclass
 
-from .certificate import (
-    Certificate,
-    check_certificate,
-    lower_certificate,
-    split_recursion,
-)
+from .certificate import Certificate, check_certificate, lower_certificate
 from .errors import (
     BudgetExceeded,
     CapacityExceeded,
@@ -153,19 +148,9 @@ def search_diameter(f: LinearForm, k: int, diameter: int | None = None) -> int:
     return diameter if diameter is not None else f.u_total * (k - 1)
 
 
-def _completion_bounds(nf2: int, nf3: int | None, k: int) -> list[int]:
-    """cb[t]: certified extra values forced by t more, larger elements.
-
-    Appending t elements above the current maximum splices a (t+1)-set
-    onto the partial set sharing exactly one value, so at least
-    L(t + 1) - 1 new values appear.  cb[t] >= t always.
-    """
-    bounds, _ = split_recursion(nf2, nf3, k)
-    return [0] + [b - 1 for b in bounds[1:]]
-
-
-def _budget_exceeded(budget: int, nodes: int) -> BudgetExceeded:
-    return BudgetExceeded(f"node budget {budget} exhausted ({nodes} nodes)", nodes=nodes)
+def _budget_exceeded(budget: int) -> BudgetExceeded:
+    """The refusal of a search that counts node budget + 1."""
+    return BudgetExceeded(f"node budget {budget} exhausted ({budget + 1} nodes)", nodes=budget + 1)
 
 
 def _next_elements(elems: tuple[int, ...], t: int, diameter: int) -> range:
@@ -389,7 +374,7 @@ def _explore_binary(
             lo = e + step
             nodes += stop - lo
             if budget is not None and nodes > budget:
-                raise _budget_exceeded(budget, budget + 1)
+                raise _budget_exceeded(budget)
             K = KA  # the child's pair kinds: no field of its N exceeds K
             for x in elems:
                 K += kinds[e - x]
@@ -433,9 +418,9 @@ def _explore_binary(
             )
 
     cands = _next_elements((0,), k - 1, diameter)
-    nodes = 1 + len(cands)  # the root {0}, budget-checked by search_min, and its children
+    nodes = 1 + len(cands)  # the root {0} and its children
     if budget is not None and nodes > budget:
-        raise _budget_exceeded(budget, budget + 1)
+        raise _budget_exceeded(budget)
     rec((0,), 0, 1, 1, 1, k - 1, 1, 0, 0, 0, cands)
     return best, wits, nodes
 
@@ -501,7 +486,7 @@ def _explore_general(
     gcd = math.gcd
     best = None
     wits: list[tuple[int, ...]] = []
-    nodes = 1  # the root {0}, budget-checked by search_min
+    nodes = 1  # the root {0}, budget-checked with its children
     steps, horner = _frame_layout(coeffs)
     full = len(steps) - 1
     flat = [(i, j, v) for i in range(1, full) for j, v in steps[i]]
@@ -538,7 +523,7 @@ def _explore_general(
         cands = _next_elements(elems, t, diameter)
         nodes += len(cands)
         if budget is not None and nodes > budget:
-            raise _budget_exceeded(budget, budget + 1)
+            raise _budget_exceeded(budget)
         tail = None  # (shift, group) pairs, built when a candidate first needs them
         if t == 1:
             # The last element: a set of gcd > 1 is never recorded, and
@@ -738,8 +723,6 @@ def search_min(
     bits = _search_bits(f, k, diameter)
     if bits > SEARCH_BITS_CAP:
         raise CapacityExceeded(f"search masks would need {bits} bits (cap {SEARCH_BITS_CAP})")
-    if node_budget == 0:
-        raise _budget_exceeded(node_budget, 1)  # the root {0}
     if k == 1:
         hit = (1, (KSet((0,)),), 1)
     else:
@@ -753,7 +736,7 @@ def search_min(
                 _search_memo[memo_key] = hit
     best, reps, nodes = hit
     if node_budget is not None and nodes > node_budget:
-        raise _budget_exceeded(node_budget, node_budget + 1)
+        raise _budget_exceeded(node_budget)
     overflow = witness_cap is not None and len(reps) > witness_cap
     if overflow:
         reps = reps[:witness_cap]
@@ -763,9 +746,14 @@ def search_min(
 def _search(
     f: LinearForm, k: int, diameter: int, node_budget: int | None
 ) -> tuple[int, tuple[KSet, ...], int]:
-    """The DFS behind search_min (k >= 2): best, uncapped witnesses, nodes."""
-    cert = lower_certificate(f, k)
-    cb = _completion_bounds(cert.nf2, cert.nf3, k)
+    """The DFS behind search_min (k >= 2): best, uncapped witnesses, nodes.
+
+    cb[t] = L(t + 1) - 1, from the L(1), ..., L(k) that check_certificate
+    replays from compute_nf's certificate: appending t elements above the
+    current maximum splices a (t+1)-set onto the partial set sharing
+    exactly one value, so at least that many new values appear.
+    """
+    cb = [b - 1 for b in check_certificate(f, k, lower_certificate(f, k))]
     if f.m == 2:
         u1, u2 = f.coeffs
         best, raw, nodes = _explore_binary(u1, u2, k, diameter, cb, node_budget)
@@ -779,24 +767,23 @@ def compute_nf(
     k: int,
     *,
     diameter: int | None = None,
-    ladder_max_ell: int = 4,
     witness_cap: int | None = 64,
     node_budget: int | None = None,
 ) -> ExtremalResult:
     """Certified bracket (exact when closed) for the k-set minimum of |f(A)|.
 
-    The lower bound is the split recursion from base sizes up to
-    ladder_max_ell (lower_certificate), replayed by check_certificate;
-    2 or less leaves out the binary 3-set value 8, which the search
-    prunes with regardless.  The upper bound is one search_min over
-    diameter (None means u_total * (k - 1)), which alone draws on
-    node_budget (None is unlimited) and keeps the first witness_cap
-    witnesses (None keeps every one).  The search runs first, so its
-    argument checks and caps refuse before the O(k^2) certificate.
+    The lower bound is the split recursion from every base value that
+    applies (lower_certificate), replayed by check_certificate; the
+    search prunes with the same certificate.  The upper bound is one
+    search_min over diameter (None means u_total * (k - 1)), which alone
+    draws on node_budget (None is unlimited) and keeps the first
+    witness_cap witnesses (None keeps every one).  The search runs
+    first, so its argument checks and caps refuse before the O(k^2)
+    certificate.
     """
     diameter = search_diameter(f, k, diameter)
     out = search_min(f, k, diameter, witness_cap=witness_cap, node_budget=node_budget)
-    cert = lower_certificate(f, k, ladder_max_ell)
+    cert = lower_certificate(f, k)
     check_certificate(f, k, cert)
     if out.best < cert.bound:
         raise LinformsError(

@@ -217,7 +217,7 @@ def image_mask(f: LinearForm, elems: Sequence[int]) -> int:
     use it where only |f(A)| matters.  The search kernels do not: they
     extend the masks of a set's parent instead of rebuilding them.
     """
-    if elems and elems[0] < 0:
+    if elems and min(elems) < 0:
         raise ValueOverflow("bitmask images need non-negative elements")
     mask = 1
     for u in f.coeffs:

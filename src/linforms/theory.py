@@ -47,7 +47,8 @@ from .forms import (
 from .sets import is_arithmetic_progression
 
 #: A verify run touching more than this many (form, k) instances, over all
-#: its suites, is refused before the first check.
+#: its suites, is refused before the first check.  It counts instances, not
+#: their cost: a run within it can still search for minutes.
 INSTANCE_BUDGET = 100_000
 
 

@@ -377,10 +377,12 @@ class TestCliNf:
         assert run(capsys, *bad) == (2, "", err)
 
     def test_ladder_flag(self, capsys):
-        _, shallow, _ = run(capsys, "nf", "--coeffs", "1,3", "--k", "4", "--ladder", "2", "--json")
-        _, deep, _ = run(capsys, "nf", "--coeffs", "1,3", "--k", "4", "--json")
-        assert json.loads(shallow)["lower"] == 10
-        assert json.loads(deep)["lower"] == 11
+        # --ladder is accepted and ignored: every certificate uses every base value.
+        for json_flag in ((), ("--json",)):
+            args = ("nf", "--coeffs", "1,3", "--k", "4", *json_flag)
+            code, out, err = run(capsys, *args, "--ladder", "2")
+            assert (code, out, err) == run(capsys, *args)
+        assert json.loads(out)["lower"] == 11
 
 
 class TestCliMf:
@@ -552,6 +554,26 @@ class TestCliScan:
         assert (code, out) == (2, "")
         assert "need --max-m, --max-coeff >= 1 and --max-k >= 2" in err
 
+    def test_diameter_below_max_k_refused_before_any_search(self, capsys, monkeypatch):
+        # Diameter 1 holds k = 2 sets but not k = 3 ones: the whole run is
+        # refused up front, not after printing its k = 2 findings.
+        from linforms import explorer
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched before the diameter check")
+
+        monkeypatch.setattr(explorer, "compute_nf", no_search)
+        args = ("scan", "--diameter", "1", "--max-m", "2", "--max-coeff", "2")
+        code, out, err = run(capsys, *args, "--max-k", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: diameter 1 cannot hold 3 distinct integers\n"
+
+    def test_no_findings_summary(self, capsys):
+        args = ("scan", "--problem", "completeness", "--max-m", "1", "--max-coeff", "1")
+        code, out, err = run(capsys, *args, "--max-k", "2")
+        assert (code, out) == (0, "")
+        assert err == "scan done: no findings\n"
+
     def test_smallest_bounds_run(self, capsys):
         code, out, err = run(capsys, "scan", "--max-m", "1", "--max-coeff", "1", "--max-k", "2")
         assert code == 0
@@ -645,6 +667,17 @@ class TestCliCache:
             assert code == 0 and "computed" in out
             warnings += err.count("skipping corrupt cache line")
         assert warnings == 1
+
+    def test_ladder_miss_stores_the_full_certificate(self, tmp_path, capsys):
+        # A --ladder 2 miss stores what a default run computes, so a later
+        # default request is served the exact 8 of (1,3) at k = 3.
+        path = str(tmp_path / "c.jsonl")
+        args = ("nf", "--coeffs", "1,3", "--k", "3", "--cache", path, "--json")
+        code, _, _ = run(capsys, *args, "--ladder", "2")
+        assert code == 0
+        code, out, _ = run(capsys, *args)
+        rec = json.loads(out)
+        assert code == 0 and (rec["lower"], rec["best"], rec["exact"]) == (8, 8, True)
 
     def test_different_diameter_misses(self, tmp_path, capsys):
         path = str(tmp_path / "c.jsonl")

@@ -25,6 +25,7 @@ from oracles import (
 import linforms
 from linforms import engine, sets
 from linforms.certificate import (
+    Certificate,
     binary_nf3_certificate,
     check_certificate,
     lower_certificate,
@@ -88,7 +89,7 @@ class TestLowerCertificate:
 
     def test_longer_blocks_help(self):
         # With the exact 3-set value 8 available, k=5 jumps from 13 to 15.
-        assert lower_certificate(LinearForm((1, 3)), 5, max_base=2).bound == 13
+        assert split_recursion(4, None, 5)[0][-1] == 13
         c = lower_certificate(LinearForm((1, 3)), 5)
         assert (c.nf3, c.splits[-1], c.bound) == (8, 3, 15)
 
@@ -126,12 +127,11 @@ class TestLowerCertificate:
         .map(lambda c: tuple(sorted(c)))
         .filter(lambda t: math.gcd(*t) == 1),
         st.integers(min_value=1, max_value=7),
-        st.sampled_from([2, 4]),
     )
-    def test_checker_accepts_real_and_rejects_tampered(self, coeffs, k, ladder):
+    def test_checker_accepts_real_and_rejects_tampered(self, coeffs, k):
         f = LinearForm(coeffs)
-        cert = compute_nf(f, k, diameter=k + 2, ladder_max_ell=ladder).certificate
-        check_certificate(f, k, cert)
+        cert = compute_nf(f, k, diameter=k + 2).certificate
+        assert check_certificate(f, k, cert) == split_recursion(cert.nf2, cert.nf3, k)[0]
 
         def rejected(**change):
             with pytest.raises(BadCertificate):
@@ -149,6 +149,14 @@ class TestLowerCertificate:
             if a in range(2, k) and bounds[a - 1] + bounds[k - a] - 1 == cert.bound:
                 continue  # another split to the same bound is a valid certificate
             rejected(splits=(*head, a))
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_checker_accepts_weaker_certificate(self, k):
+        # Leaving out the 3-set value 8 of (1,3) gives a valid, weaker bound.
+        bounds, splits = split_recursion(4, None, k)
+        weak = Certificate(bounds[-1], 4, None, splits)
+        assert check_certificate(LinearForm((1, 3)), k, weak) == bounds
+        assert bounds == [3 * n - 2 for n in range(1, k + 1)]  # (nf2 - 1)(n - 1) + 1
 
     def test_checker_rejects_nf3_outside_the_case_analysis(self):
         for coeffs in ((1, 1), (1, 2), (1, 2, 3)):
@@ -380,6 +388,18 @@ class TestSearchMin:
             search_min(LinearForm((1, 3)), 4, 12, node_budget=5)
         assert info.value.nodes == 6
 
+    @pytest.mark.parametrize("coeffs,k", [((1, 3), 1), ((1, 3), 4), ((1, 2, 3), 3)])
+    def test_zero_budget_stops_at_the_root(self, coeffs, k):
+        # The k = 1 answer, both kernels' first count and a memo replay
+        # all refuse a budget of 0 on the root {0}.
+        f = LinearForm(coeffs)
+        clear_search_memo()
+        for _ in ("cold", "memo hit"):
+            with pytest.raises(BudgetExceeded) as info:
+                search_min(f, k, 3 * k, node_budget=0)
+            assert (str(info.value), info.value.nodes) == ("node budget 0 exhausted (1 nodes)", 1)
+            search_min(f, k, 3 * k)
+
     def test_negative_budget_is_input_error(self):
         with pytest.raises(InputError, match="node budget >= 0, got -1"):
             search_min(LinearForm((1, 3)), 4, 12, node_budget=-1)
@@ -414,7 +434,7 @@ class TestSearchMin:
             cb = [-(10**9)] * k
         else:
             nf2 = len({0, u1, u2, u1 + u2})  # the kernels take forms with any gcd
-            cb = engine._completion_bounds(nf2, None, k)
+            cb = [b - 1 for b in split_recursion(nf2, None, k)[0]]
         limit = budget if bounds == "budget" else None
 
         def run(explore, *coeffs):
@@ -441,8 +461,8 @@ class TestSearchMin:
         assert search_min(f, 4, 12) == cold
 
     def test_memo_keys_ladder(self):
-        # The search always prunes with the 3-set value 8 of (1,3), so the
-        # memo key has no ladder axis.
+        # The search always prunes with the certificate compute_nf reports,
+        # so the memo key has no certificate axis.
         clear_search_memo()
         assert search_min(LinearForm((1, 3)), 6, 20).nodes == 761
         assert list(engine._search_memo) == [((1, 3), 6, 20)]
@@ -612,7 +632,7 @@ class TestCollisionFilter:
             cb = [-(10**9)] * k
         else:
             nf2 = len({0, u1, u2, u1 + u2})
-            cb = engine._completion_bounds(nf2, None, k)
+            cb = [b - 1 for b in split_recursion(nf2, None, k)[0]]
         want = oracle_dfs((u1, u2), k, diameter, cb)
         assert engine._explore_binary(u1, u2, k, diameter, cb, None) == want
         assert engine._explore_general((u1, u2), k, diameter, cb, None) == want
@@ -631,7 +651,7 @@ class TestCollisionFilter:
         diameter = k - 1 + slack
         m = len(coeffs)
         nf2 = len({sum(c) for r in range(m + 1) for c in itertools.combinations(coeffs, r)})
-        cb = engine._completion_bounds(nf2, None, k)
+        cb = [b - 1 for b in split_recursion(nf2, None, k)[0]]
         want = oracle_dfs(coeffs, k, diameter, cb)
         assert engine._explore_general(coeffs, k, diameter, cb, None) == want
 
@@ -840,13 +860,6 @@ class TestComputeNf:
         res = compute_nf(LinearForm((1, 2, 3)), 4)
         assert res.exact and res.best == 19
         assert [w.elems for w in res.witnesses] == [(0, 1, 2, 3)]
-
-    def test_ladder_depth_changes_lower_only(self):
-        shallow = compute_nf(LinearForm((1, 3)), 4, ladder_max_ell=2)
-        deep = compute_nf(LinearForm((1, 3)), 4)
-        assert shallow.best == deep.best == 12
-        assert shallow.lower == 10 and deep.lower == 11
-        assert shallow.nodes_explored == deep.nodes_explored  # the same search
 
     def test_custom_diameter(self):
         res = compute_nf(LinearForm((1, 3)), 3, diameter=4)

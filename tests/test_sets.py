@@ -209,8 +209,12 @@ class TestImages:
         assert {n for n in range(mask.bit_length()) if (mask >> n) & 1} == want
 
     def test_mask_rejects_negative(self):
-        with pytest.raises(ValueOverflow):
-            image_mask(LinearForm((1, 2)), [-1, 0, 2])
+        # A negative element anywhere, not only first, is refused rather
+        # than left to fail as a negative shift count.
+        for elems in ([-1, 0, 2], [3, -1]):
+            with pytest.raises(ValueOverflow):
+                image_mask(LinearForm((1, 2)), elems)
+        assert image_mask(LinearForm((1, 2)), []) == 0
 
     @given(small_forms, int_sets, st.integers(min_value=-9, max_value=9).filter(bool), st.integers(-20, 20))
     def test_affine_invariance_of_size(self, f, xs, c, d):
