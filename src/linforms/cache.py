@@ -69,10 +69,8 @@ class CacheRecord:
         }
 
 
-def record_from_result(res: ExtremalResult, timestamp: str | None = None) -> CacheRecord:
-    """Freeze an engine result into a cache record."""
-    if timestamp is None:
-        timestamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
+def record_from_result(res: ExtremalResult) -> CacheRecord:
+    """Freeze an engine result into a cache record, stamped with the current UTC time."""
     return CacheRecord(
         coeffs=res.form.coeffs,
         k=res.k,
@@ -81,7 +79,7 @@ def record_from_result(res: ExtremalResult, timestamp: str | None = None) -> Cac
         best=res.best,
         exact=res.exact,
         witnesses=tuple(w.elems for w in res.witnesses),
-        timestamp=timestamp,
+        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         tool_version=__version__,
     )
 

@@ -16,8 +16,8 @@ import sys
 
 from . import cache as cache_mod
 from . import explorer
-from .engine import compute_mf, compute_nf, enumerate_minimizers, search_diameter
-from .errors import DiameterTooSmall, InputError, ResourceError
+from .engine import _check_diameter, compute_mf, compute_nf, enumerate_minimizers, search_diameter
+from .errors import InputError, ResourceError
 from .explorer import (
     STATUS_CANDIDATE,
     STATUS_CONSISTENT,
@@ -155,8 +155,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
             f"need --max-m, --max-coeff >= 1 and --max-k >= 2, got "
             f"{args.max_m}, {args.max_coeff}, {args.max_k}"
         )
-    if args.diameter is not None and args.diameter < args.max_k - 1:
-        raise DiameterTooSmall(f"diameter {args.diameter} cannot hold {args.max_k} distinct integers")
+    _check_diameter(args.max_k, args.diameter)
     problems = list(explorer._PROBLEMS) if args.problem == "all" else [args.problem]
     statuses = (STATUS_CONSISTENT, STATUS_CANDIDATE, STATUS_INCONCLUSIVE, STATUS_THEOREM_CONFLICT)
     counts = dict.fromkeys(statuses, 0)

@@ -93,7 +93,6 @@ class SearchOutcome:
     best: int
     witnesses: tuple[KSet, ...]
     nodes: int
-    witness_overflow: bool = False
 
 
 @dataclass(frozen=True)
@@ -148,25 +147,28 @@ def search_diameter(f: LinearForm, k: int, diameter: int | None = None) -> int:
     return diameter if diameter is not None else f.u_total * (k - 1)
 
 
+def _check_diameter(k: int, diameter: int | None) -> None:
+    """Refuse a diameter that cannot hold k distinct integers (None always can)."""
+    if diameter is not None and diameter < k - 1:
+        raise DiameterTooSmall(f"diameter {diameter} cannot hold {k} distinct integers")
+
+
 def _budget_exceeded(budget: int) -> BudgetExceeded:
     """The refusal of a search that counts node budget + 1."""
     return BudgetExceeded(f"node budget {budget} exhausted ({budget + 1} nodes)", nodes=budget + 1)
 
 
-def _next_elements(elems: tuple[int, ...], t: int, diameter: int) -> range:
-    """Candidates for the next element of a partial set with t slots open.
+def _root_frame(k: int, diameter: int, budget: int | None) -> tuple[range, int]:
+    """The root {0}'s candidates, its first gaps a1, and the budget-checked nodes so far.
 
-    Only sets whose first gap a_1 is at most their last gap are visited,
-    one member of each mirror-image pair (see search_min).  Each bound
-    leaves room for the rest of the set, so every node has a completion.
+    Each leaves room for k - 3 more elements and a last gap >= a1, as
+    _child_bounds does: 2*a1 + k - 3 <= diameter (a1 is the last gap at k = 2).
     """
-    last = elems[-1]
-    if len(elems) == 1:  # choosing a_1: a last gap >= a_1 must still fit
-        return range(1, (diameter - t + 2) // 2 + 1 if t > 1 else diameter + 1)
-    a1 = elems[1]
-    if t > 1:  # t - 2 more elements, then a last gap >= a_1
-        return range(last + 1, diameter - a1 - t + 3)
-    return range(last + a1, diameter + 1)
+    cands = range(1, (diameter - k + 3) // 2 + 1 if k > 2 else diameter + 1)
+    nodes = 1 + len(cands)
+    if budget is not None and nodes > budget:
+        raise _budget_exceeded(budget)
+    return cands, nodes
 
 
 def _filter_width(k: int) -> int:
@@ -183,8 +185,11 @@ def _child_bounds(a1: int, t: int, diameter: int) -> tuple[int, int]:
     the candidates range(e + step, stop), where a1 is the child's first
     gap: elems[1] past the root {0}, e itself at the root.
 
-    The same bounds as _next_elements, taken once per frame instead of
-    once per child (children of one frame differ only in e).
+    Only sets whose first gap is at most their last gap are visited, one
+    of each mirror-image pair (see search_min).  Each bound leaves room
+    for the rest of the set: the child's t - 1 open slots fit above e,
+    the last gap >= a1, so every node has a completion.  Past the root
+    the bounds are frame constants.
     """
     if t > 2:  # the child has t - 1 > 1 slots open
         return 1, diameter - a1 - t + 4
@@ -307,8 +312,9 @@ def _explore_binary(
     when K reaches thr > 0, up to 3 |A| more, one product and its hits.
 
     Only sets whose first gap is at most their last gap are visited
-    (_next_elements): the other member of each mirror-image pair has the
-    same image size, and _reflection_reps reports the visited one.
+    (_root_frame, _child_bounds): the other member of each mirror-image
+    pair has the same image size, and _reflection_reps reports the
+    visited one.
 
     Returns the best value (the progression {0, ..., k-1} always fits),
     its raw witnesses and the node count: the root {0} and every
@@ -417,10 +423,7 @@ def _explore_binary(
                 grand,
             )
 
-    cands = _next_elements((0,), k - 1, diameter)
-    nodes = 1 + len(cands)  # the root {0} and its children
-    if budget is not None and nodes > budget:
-        raise _budget_exceeded(budget)
+    cands, nodes = _root_frame(k, diameter, budget)
     rec((0,), 0, 1, 1, 1, k - 1, 1, 0, 0, 0, cands)
     return best, wits, nodes
 
@@ -481,12 +484,12 @@ def _explore_general(
     per candidate that passes, nf2 - 1 - h more and a second bit count.
 
     Visits one member of each mirror-image pair, and returns and counts
-    nodes against the budget, as _explore_binary does.
+    nodes against the budget, as _explore_binary does; a parent counts
+    each child's range just before it enters the child.
     """
     gcd = math.gcd
     best = None
     wits: list[tuple[int, ...]] = []
-    nodes = 1  # the root {0}, budget-checked with its children
     steps, horner = _frame_layout(coeffs)
     full = len(steps) - 1
     flat = [(i, j, v) for i in range(1, full) for j, v in steps[i]]
@@ -518,12 +521,8 @@ def _explore_general(
     inner_head, (d1, d2, d3), inner_tail, inner_join = split(3)
     last_head, (d0,), last_tail, last_join = split(1)
 
-    def rec(elems: tuple[int, ...], g: int, table: list[int], t: int) -> None:
+    def rec(elems: tuple[int, ...], g: int, table: list[int], t: int, cands: range) -> None:
         nonlocal best, wits, nodes
-        cands = _next_elements(elems, t, diameter)
-        nodes += len(cands)
-        if budget is not None and nodes > budget:
-            raise _budget_exceeded(budget)
         tail = None  # (shift, group) pairs, built when a candidate first needs them
         if t == 1:
             # The last element: a set of gcd > 1 is never recorded, and
@@ -569,13 +568,18 @@ def _explore_general(
             size_e = Me.bit_count()
             if best is not None and size_e + cbt > best:
                 continue
+            step, stop = _child_bounds(e if len(elems) == 1 else elems[1], t, diameter)
+            nodes += stop - e - step
+            if budget is not None and nodes > budget:
+                raise _budget_exceeded(budget)
             child = table.copy()
             for i, j, v in flat:
                 child[i] |= child[j] << v * e
             child[full] = Me
-            rec(elems + (e,), g if g == 1 else gcd(g, e), child, t - 1)
+            rec(elems + (e,), g if g == 1 else gcd(g, e), child, t - 1, range(e + step, stop))
 
-    rec((0,), 0, [1] * (full + 1), k - 1)
+    cands, nodes = _root_frame(k, diameter, budget)
+    rec((0,), 0, [1] * (full + 1), k - 1, cands)
     return best, wits, nodes
 
 
@@ -676,7 +680,6 @@ def search_min(
     k: int,
     diameter: int,
     *,
-    witness_cap: int | None = None,
     node_budget: int | None = None,
 ) -> SearchOutcome:
     """Exhaustive minimum of |f(A)| over canonical k-sets within a diameter.
@@ -685,9 +688,8 @@ def search_min(
     diameter, gcd 1} in lexicographic order, pruning with the
     split-recursion completion bound (every base value) against the best
     value found so far; ties with it are never pruned, so the witness
-    list is the full set of minimizers (deduplicated under reflection,
-    then capped).  The order is fixed, so results and node counts are
-    deterministic.
+    list is the full set of minimizers, deduplicated under reflection.
+    The order is fixed, so results and node counts are deterministic.
 
     Only sets whose first gap a_1 is at most their last gap are
     searched.  Reflection x -> a_{k-1} - x keeps the diameter, the gcd
@@ -700,26 +702,21 @@ def search_min(
 
     node_budget caps the nodes explored, the root {0} included: the
     search raises BudgetExceeded on node node_budget + 1, so a budget of
-    0 always stops; a negative budget is an InputError.  witness_cap
-    keeps the first witness_cap witnesses (0 keeps none); a negative
-    cap is an InputError.
+    0 always stops; a negative budget is an InputError.
 
     Completed searches are remembered per process, keyed by every input
     that changes the outcome (coeffs, k and diameter), up to
     SEARCH_MEMO_ENTRIES results.  A repeated search is answered from
-    memory with the same outcome, node count included: the witness cap
-    is applied on return, and a remembered count over node_budget raises
-    exactly as the search would, on node node_budget + 1.
+    memory with the same outcome, node count included: a remembered
+    count over node_budget raises exactly as the search would, on node
+    node_budget + 1.
     clear_search_memo() forgets every result.
     """
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
-    if diameter < k - 1:
-        raise DiameterTooSmall(f"diameter {diameter} cannot hold {k} distinct integers")
+    _check_diameter(k, diameter)
     if node_budget is not None and node_budget < 0:
         raise InputError(f"need a node budget >= 0, got {node_budget}")
-    if witness_cap is not None and witness_cap < 0:
-        raise InputError(f"need a witness cap >= 0, got {witness_cap}")
     bits = _search_bits(f, k, diameter)
     if bits > SEARCH_BITS_CAP:
         raise CapacityExceeded(f"search masks would need {bits} bits (cap {SEARCH_BITS_CAP})")
@@ -737,16 +734,13 @@ def search_min(
     best, reps, nodes = hit
     if node_budget is not None and nodes > node_budget:
         raise _budget_exceeded(node_budget)
-    overflow = witness_cap is not None and len(reps) > witness_cap
-    if overflow:
-        reps = reps[:witness_cap]
-    return SearchOutcome(best=best, witnesses=reps, nodes=nodes, witness_overflow=overflow)
+    return SearchOutcome(best=best, witnesses=reps, nodes=nodes)
 
 
 def _search(
     f: LinearForm, k: int, diameter: int, node_budget: int | None
 ) -> tuple[int, tuple[KSet, ...], int]:
-    """The DFS behind search_min (k >= 2): best, uncapped witnesses, nodes.
+    """The DFS behind search_min (k >= 2): best, witnesses, nodes.
 
     cb[t] = L(t + 1) - 1, from the L(1), ..., L(k) that check_certificate
     replays from compute_nf's certificate: appending t elements above the
@@ -776,19 +770,23 @@ def compute_nf(
     applies (lower_certificate), replayed by check_certificate; the
     search prunes with the same certificate.  The upper bound is one
     search_min over diameter (None means u_total * (k - 1)), which alone
-    draws on node_budget (None is unlimited) and keeps the first
-    witness_cap witnesses (None keeps every one).  The search runs
-    first, so its argument checks and caps refuse before the O(k^2)
-    certificate.
+    draws on node_budget (None is unlimited).  The search runs first, so
+    its argument checks and caps refuse before the O(k^2) certificate.
+    The result keeps the first witness_cap of the search's minimizers
+    (None keeps every one, 0 none) and sets witness_overflow when it
+    drops any; a negative cap is an InputError.
     """
+    if witness_cap is not None and witness_cap < 0:
+        raise InputError(f"need a witness cap >= 0, got {witness_cap}")
     diameter = search_diameter(f, k, diameter)
-    out = search_min(f, k, diameter, witness_cap=witness_cap, node_budget=node_budget)
+    out = search_min(f, k, diameter, node_budget=node_budget)
     cert = lower_certificate(f, k)
     check_certificate(f, k, cert)
     if out.best < cert.bound:
         raise LinformsError(
             f"internal: search found {out.best} under certificate {cert.bound} for {f}, k={k}"
         )
+    witnesses = out.witnesses[:witness_cap]
     return ExtremalResult(
         form=f,
         k=k,
@@ -796,10 +794,10 @@ def compute_nf(
         lower=cert.bound,
         certificate=cert,
         best=out.best,
-        witnesses=out.witnesses,
+        witnesses=witnesses,
         exact=out.best == cert.bound,
         nodes_explored=out.nodes,
-        witness_overflow=out.witness_overflow,
+        witness_overflow=len(witnesses) < len(out.witnesses),
     )
 
 

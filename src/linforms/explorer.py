@@ -26,8 +26,8 @@ from functools import partial
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .engine import ExtremalResult, compute_mf, compute_nf, search_diameter
-from .errors import BudgetExceeded, DiameterTooSmall, InputError
+from .engine import ExtremalResult, _check_diameter, compute_mf, compute_nf, search_diameter
+from .errors import BudgetExceeded, InputError
 from .forms import LinearForm, enumerate_normalized, is_complete
 from .sets import _shown, image_mask, is_arithmetic_progression
 from .theory import _run, complete_formula
@@ -124,8 +124,7 @@ def spectrum(f: LinearForm, k: int, diameter: int | None = None) -> SpectrumRepo
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
     D = search_diameter(f, k, diameter)
-    if D < k - 1:
-        raise DiameterTooSmall(f"diameter {D} cannot hold {k} distinct integers")
+    _check_diameter(k, D)
     sets = math.comb(D, k - 1)
     if sets > SPECTRUM_BUDGET:
         raise BudgetExceeded(
@@ -162,8 +161,9 @@ def _scan(slices: Iterable[tuple], diameter: int | None) -> Iterator[ScanFinding
     """
 
     def finding(problem: str, k: int, f: LinearForm, complete: bool) -> list[ScanFinding]:
-        _, verdict, search = _PROBLEMS[problem]
-        res = compute_nf(f, k, diameter=diameter, **search)
+        _, verdict = _PROBLEMS[problem]
+        # Uncapped: a verdict may read every minimizer.
+        res = compute_nf(f, k, diameter=diameter, witness_cap=None)
         predicted = complete_formula(f.u_total, k)
         status, detail = verdict(f, res, complete, predicted)
         return [
@@ -240,15 +240,14 @@ def scan_ap_minimizer_converse(
     return tuple(_scan([("ap-minimizers", m, max_coeff, k)], diameter))
 
 
-# problem -> (its (form, complete) pairs at (m, max_coeff), drawn lazily;
-# its verdict; the compute_nf keywords its verdict needs beyond the diameter)
+# problem -> (its (form, complete) pairs at (m, max_coeff), drawn lazily; its verdict)
 _PROBLEMS = {
     "completeness": (
         lambda m, c: ((f, False) for f in enumerate_normalized(m, c) if not is_complete(f)),
-        _completeness_verdict, {},
+        _completeness_verdict,
     ),
     "ap-minimizers": (
         lambda m, c: ((f, is_complete(f)) for f in enumerate_normalized(m, c)),
-        _ap_verdict, {"witness_cap": None},
+        _ap_verdict,
     ),
 }

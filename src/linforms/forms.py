@@ -117,15 +117,18 @@ def normalize_form(raw: Sequence[int]) -> LinearForm:
 
 
 def parse_coeffs(text: str) -> LinearForm:
-    """Parse a comma-separated coefficient list such as "1,2,3"."""
+    """Parse a comma-separated list of ASCII integer coefficients such as "1,2,3"."""
     parts = [p.strip() for p in text.split(",")]
     if parts == [""]:
         raise EmptyCoefficients("empty coefficient list")
     values = []
     for p in parts:
+        digits = p.removeprefix("-")  # int() alone also takes "+3", "1_0", full-width digits
         try:
-            values.append(int(p, 10))
-        except ValueError:
+            if not (digits.isascii() and digits.isdigit()):
+                raise ValueError
+            values.append(int(p))
+        except ValueError:  # int() also refuses past its digit limit
             raise NonPositiveCoefficient(f"not an integer coefficient: {p!r}") from None
     return normalize_form(values)
 

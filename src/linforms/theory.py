@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable, Iterable, Iterator
 
-from .engine import ExtremalResult, compute_mf, compute_nf, exact_nf2
+from .engine import ExtremalResult, _check_diameter, compute_mf, compute_nf, exact_nf2
 from .errors import (
     BudgetExceeded,
     InputError,
@@ -153,6 +153,7 @@ class SuiteBounds:
                 f"need max_m, max_coeff, max_k >= 1, got "
                 f"{self.max_m}, {self.max_coeff}, {self.max_k}"
             )
+        _check_diameter(self.max_k, self.diameter)  # for every suite, as scan refuses it
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,11 @@ def _record(coeffs, k, timestamp="t0", tool_version=__version__):
     )
 
 
+def _stamped(res, timestamp):
+    """res frozen into a cache record with a fixed timestamp."""
+    return dataclasses.replace(cache.record_from_result(res), timestamp=timestamp)
+
+
 def _line(rec):
     return json.dumps(rec.to_json()).encode("utf-8")
 
@@ -74,7 +79,7 @@ _CHANGES = st.one_of(
 class TestCacheModule:
     def test_round_trip(self, tmp_path):
         res = compute_nf(LinearForm((1, 3)), 3)
-        rec = cache.record_from_result(res, timestamp="2026-01-01T00:00:00+00:00")
+        rec = _stamped(res, "2026-01-01T00:00:00+00:00")
         path = tmp_path / "c.jsonl"
         cache.append_record(path, rec)
         loaded = cache.load_records(path)
@@ -83,7 +88,7 @@ class TestCacheModule:
 
     def test_json_field_order(self):
         res = compute_nf(LinearForm((1, 3)), 3)
-        rec = cache.record_from_result(res, timestamp="t")
+        rec = _stamped(res, "t")
         assert list(rec.to_json()) == [
             "coeffs",
             "k",
@@ -99,8 +104,8 @@ class TestCacheModule:
     def test_last_record_wins(self, tmp_path):
         path = tmp_path / "c.jsonl"
         res = compute_nf(LinearForm((1, 3)), 3)
-        first = cache.record_from_result(res, timestamp="t1")
-        second = cache.record_from_result(res, timestamp="t2")
+        first = _stamped(res, "t1")
+        second = _stamped(res, "t2")
         cache.append_record(path, first)
         cache.append_record(path, second)
         hit = cache.lookup(path, (1, 3), 3, res.diameter_searched)
@@ -113,7 +118,7 @@ class TestCacheModule:
     def test_corrupt_lines_skipped(self, tmp_path, capsys):
         path = tmp_path / "c.jsonl"
         res = compute_nf(LinearForm((1, 3)), 3)
-        cache.append_record(path, cache.record_from_result(res, timestamp="t"))
+        cache.append_record(path, _stamped(res, "t"))
         with open(path, "a") as fh:
             fh.write("{broken\n")
             fh.write('{"coeffs": [1, 2]}\n')  # parseable JSON, wrong shape
@@ -137,7 +142,7 @@ class TestCacheModule:
     def test_mistyped_field_skipped(self, tmp_path, capsys, field, raw):
         # A value of the wrong JSON type is never coerced into a record.
         path = tmp_path / "c.jsonl"
-        rec = cache.record_from_result(compute_nf(LinearForm((1, 3)), 3), timestamp="t")
+        rec = _stamped(compute_nf(LinearForm((1, 3)), 3), "t")
         good = json.dumps(rec.to_json())
         bad = json.dumps({**rec.to_json(), field: None}).replace(
             f'"{field}": null', f'"{field}": {raw}'
@@ -165,12 +170,12 @@ class TestCacheModule:
         path = tmp_path / "c.jsonl"
         path.write_text("")
         assert cache.lookup(path, (1, 3), 3, 8) is None
-        rec = cache.record_from_result(compute_nf(LinearForm((1, 3)), 3), timestamp="t1")
+        rec = _stamped(compute_nf(LinearForm((1, 3)), 3), "t1")
         cache.append_record(path, rec)
         assert cache.lookup(path, (1, 3), 3, 8) == rec
         # Another writer, without the lock, within the same modification
         # time tick: only the size tells.
-        other = cache.record_from_result(compute_nf(LinearForm((1, 2)), 3), timestamp="t2")
+        other = _stamped(compute_nf(LinearForm((1, 2)), 3), "t2")
         st = path.stat()
         with open(path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(other.to_json()) + "\n")
@@ -180,7 +185,7 @@ class TestCacheModule:
 
     def test_index_reloads_truncated_or_replaced(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        first = cache.record_from_result(compute_nf(LinearForm((1, 3)), 3), timestamp="t1")
+        first = _stamped(compute_nf(LinearForm((1, 3)), 3), "t1")
         cache.append_record(path, first)
         assert cache.lookup(path, (1, 3), 3, 8) == first
         path.write_text("")  # truncated in place
@@ -314,7 +319,7 @@ class TestCacheModule:
             if rec is None:
                 rec = cache.record_from_result(res)
                 cache.append_record(path, rec)
-            fresh = cache.record_from_result(res, timestamp=rec.timestamp)
+            fresh = _stamped(res, rec.timestamp)
             fresh = type(fresh)(**{**fresh.__dict__, "tool_version": rec.tool_version})
             assert rec == fresh
 
@@ -474,6 +479,16 @@ class TestCliVerify:
         assert (code, out) == (2, "")
         assert "need max_m, max_coeff, max_k >= 1" in err
 
+    @pytest.mark.parametrize("suite", ["all", "lem32"])
+    def test_diameter_below_max_k_exit_2(self, capsys, suite):
+        # Diameter 1 holds k = 2 sets but not k = 3 ones: refused before
+        # the first report, even by lem32, which searches no sets.
+        code, out, err = run(
+            capsys, "verify", "--suite", suite, "--max-m", "1", "--diameter", "1", "--max-k", "3"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: diameter 1 cannot hold 3 distinct integers\n"
+
     def test_failing_suite_exit_1(self, capsys, monkeypatch):
         from linforms import theory
 
@@ -535,12 +550,12 @@ class TestCliScan:
     def test_alarming_finding_exit_1(self, capsys, monkeypatch, status):
         from linforms import explorer
 
-        forms, real, search = explorer._PROBLEMS["completeness"]
+        forms, real = explorer._PROBLEMS["completeness"]
 
         def fake(*args):
             return status, real(*args)[1]
 
-        monkeypatch.setitem(explorer._PROBLEMS, "completeness", (forms, fake, search))
+        monkeypatch.setitem(explorer._PROBLEMS, "completeness", (forms, fake))
         code, out, err = run(
             capsys, "scan", "--problem", "completeness", "--max-m", "2", "--max-k", "2"
         )

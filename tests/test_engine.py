@@ -195,7 +195,7 @@ class TestSearchMin:
         assert out.best == 8
         assert [w.elems for w in out.witnesses] == [(0, 1, 3), (0, 1, 4)]
         assert out.nodes == 25
-        assert not out.witness_overflow
+        assert not compute_nf(LinearForm((1, 3)), 3, diameter=9).witness_overflow
 
     def test_frozen_binary_k4(self):
         out = search_min(LinearForm((1, 3)), 4, 12)
@@ -361,27 +361,28 @@ class TestSearchMin:
         assert engine._search_bits(LinearForm((1, 99)), 10, 100) == 180_030 + 40_400
 
     def test_witness_cap_overflow_flag(self):
-        out = search_min(LinearForm((1, 3)), 3, 9, witness_cap=1)
-        assert out.best == 8
-        assert [w.elems for w in out.witnesses] == [(0, 1, 3)]
-        assert out.witness_overflow
+        # search_min keeps every minimizer; compute_nf applies the cap.
+        f = LinearForm((1, 3))
+        assert [w.elems for w in search_min(f, 3, 9).witnesses] == [(0, 1, 3), (0, 1, 4)]
+        res = compute_nf(f, 3, diameter=9, witness_cap=1)
+        assert res.best == 8
+        assert [w.elems for w in res.witnesses] == [(0, 1, 3)]
+        assert res.witness_overflow
 
     def test_witness_cap_at_k1(self):
         # The single set {0} is capped as any other witness list is.
         f = LinearForm((1, 3))
-        out = search_min(f, 1, 5, witness_cap=0)
-        assert (out.best, out.witnesses, out.witness_overflow) == (1, (), True)
         res = compute_nf(f, 1, witness_cap=0)
         assert (res.best, res.witnesses, res.witness_overflow) == (1, (), True)
-        out = search_min(f, 1, 5, witness_cap=1)
-        assert ([w.elems for w in out.witnesses], out.witness_overflow) == ([(0,)], False)
+        res = compute_nf(f, 1, witness_cap=1)
+        assert ([w.elems for w in res.witnesses], res.witness_overflow) == ([(0,)], False)
 
     def test_negative_witness_cap_is_input_error(self):
         # A negative cap would slice from the end and drop minimizers.
         with pytest.raises(InputError, match="witness cap >= 0, got -1"):
-            search_min(LinearForm((1, 3)), 3, 9, witness_cap=-1)
-        out = search_min(LinearForm((1, 3)), 3, 9, witness_cap=0)
-        assert out.best == 8 and out.witnesses == () and out.witness_overflow
+            compute_nf(LinearForm((1, 3)), 3, diameter=9, witness_cap=-1)
+        res = compute_nf(LinearForm((1, 3)), 3, diameter=9, witness_cap=0)
+        assert res.best == 8 and res.witnesses == () and res.witness_overflow
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded) as info:
@@ -519,7 +520,7 @@ class TestSearchMin:
 
         def outcome():
             try:
-                return search_min(f, k, diameter, witness_cap=cap, node_budget=budget)
+                return compute_nf(f, k, diameter=diameter, witness_cap=cap, node_budget=budget)
             except BudgetExceeded as exc:
                 return (str(exc), exc.nodes)
 
@@ -528,7 +529,7 @@ class TestSearchMin:
         clear_search_memo()
         # Unbudgeted, so it completes; its cap of 1 must not shorten the
         # witness list that is remembered.
-        search_min(f, k, diameter, witness_cap=1)
+        compute_nf(f, k, diameter=diameter, witness_cap=1)
         assert outcome() == cold
 
     def test_matches_oracle_sweep(self):
@@ -734,24 +735,6 @@ class TestCollisionFilter:
         assert checks == 128_898
         assert tight > 0
 
-    def test_child_bounds_match_next_elements(self):
-        # For every prefix {0, ...} within 10, every t > 1 slots open and
-        # every candidate e of the frame, the per-frame constants give the
-        # child's candidates exactly (the first gap is e at the root).
-        diameter = 10
-        checks = 0
-        for n in range(1, diameter + 1):
-            for rest in itertools.combinations(range(1, diameter + 1), n - 1):
-                elems = (0, *rest)
-                for t in range(2, diameter + 2 - n):
-                    for e in engine._next_elements(elems, t, diameter):
-                        a1 = elems[1] if n > 1 else e
-                        step, stop = engine._child_bounds(a1, t, diameter)
-                        child = engine._next_elements(elems + (e,), t - 1, diameter)
-                        assert (e + step, stop) == (child.start, child.stop), (elems, t, e)
-                        checks += 1
-        assert checks == 677
-
     def test_head_bound_leaves_few_full_images(self):
         # (2,5,7) at k=5: every candidate gets the head bound, the first
         # bit_count of its level's loop, once a best exists; only these
@@ -932,6 +915,19 @@ class TestComputeNf:
         assert (res.lower, res.best, res.exact) == (18, 24, False)
         assert [list(w.elems) for w in res.witnesses] == witnesses
         assert res.nodes_explored == nodes
+
+    def test_nf_deep_node_totals(self):
+        # Every nf-deep benchmark instance, searched afresh: a total that
+        # moves means the kernels visit or prune other sets.
+        binary = [(1, 6), (1, 7), (1, 8), (1, 9), (1, 10), (1, 11), (2, 5), (3, 4), (3, 5), (4, 5)]
+        general = [
+            (1, 5, 5), (1, 5, 6), (1, 6, 6), (1, 6, 7), (2, 2, 7), (2, 5, 6), (2, 5, 7),
+            (2, 6, 7), (3, 3, 5), (3, 4, 5), (3, 4, 7), (3, 5, 7), (4, 4, 5), (4, 5, 6),
+            (1, 4, 4, 4), (3, 3, 3, 4), (3, 4, 4, 4),
+        ]
+        clear_search_memo()
+        assert sum(compute_nf(LinearForm(c), 6).nodes_explored for c in binary) == 1_095_443
+        assert sum(compute_nf(LinearForm(c), 5).nodes_explored for c in general) == 307_578
 
     def test_budget_counts_whole_run(self):
         # The run's one search stops on node budget + 1.

@@ -247,7 +247,9 @@ class TestScanVerdicts:
             },
         )
         findings = scan_completeness_converse(2, 4, 3, diameter=7)
-        assert calls == [(c, 3, {"diameter": 7}) for c in [(1, 3), (1, 4), (2, 3), (3, 4)]]
+        assert calls == [
+            (c, 3, {"diameter": 7, "witness_cap": None}) for c in [(1, 3), (1, 4), (2, 3), (3, 4)]
+        ]
         assert _verdicts(findings) == [
             ((1, 3), False, 9, STATUS_CANDIDATE, "incomplete form attains the complete-form minimum"),
             ((1, 4), False, 11, STATUS_CONSISTENT, ""),

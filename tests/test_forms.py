@@ -104,6 +104,19 @@ class TestParse:
         with pytest.raises(NonPositiveCoefficient):
             parse_coeffs("1,x")
 
+    @pytest.mark.parametrize("text", ["1_0,3", "+3,1", "\uff11,\uff12", "1,-", "--1,2", "0x10,1"])
+    def test_only_ascii_digits(self, text):
+        # int() takes underscores, a plus sign and non-ASCII digits; a
+        # coefficient is an optional "-" and ASCII digits only.
+        with pytest.raises(NonPositiveCoefficient, match="^not an integer coefficient: "):
+            parse_coeffs(text)
+
+    def test_zero_and_negative_keep_their_messages(self):
+        for text, shown in [("0,1", "0"), ("-0,1", "0"), ("-3,1", "-3")]:
+            with pytest.raises(NonPositiveCoefficient, match=f"positive integers, got {shown}$"):
+                parse_coeffs(text)
+        assert parse_coeffs(" 010 ,3").coeffs == (3, 10)
+
 
 class TestSubsetSums:
     def test_example_1_3(self):

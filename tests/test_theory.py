@@ -10,6 +10,7 @@ from linforms import theory
 from linforms.engine import compute_nf
 from linforms.errors import (
     BudgetExceeded,
+    DiameterTooSmall,
     InputError,
     NotBinary,
     NotStrictlyIncreasing,
@@ -194,6 +195,14 @@ class TestSuites:
         with pytest.raises(InputError, match="need max_m, max_coeff, max_k >= 1"):
             SuiteBounds(**values)
         SuiteBounds(**{**values, field: 1})
+
+    def test_diameter_below_max_k_refused(self):
+        # Every suite shares the bounds, so a diameter too small for the
+        # largest k is refused before any suite runs, as scan refuses it.
+        with pytest.raises(DiameterTooSmall, match="^diameter 1 cannot hold 3 distinct integers$"):
+            SuiteBounds(1, 1, 3, diameter=1)
+        SuiteBounds(1, 1, 3, diameter=2)
+        SuiteBounds(1, 1, 3)
 
     def test_report_json_shape(self):
         report = verify_suite("lem32", BOUNDS)
