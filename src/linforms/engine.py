@@ -56,7 +56,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .certificate import Certificate, check_certificate, lower_certificate
 from .errors import (
@@ -76,13 +76,13 @@ from .sets import composition_vectors  # noqa: F401  (only bench/test_smoke.py b
 #: (_search_bits), checked before the search starts.
 SEARCH_BITS_CAP = 10**7
 
-#: search_min keeps at most this many results in memory; the oldest goes first.
+#: compute_nf keeps at most this many results in memory; the oldest goes first.
 SEARCH_MEMO_ENTRIES = 4096
 
-# (coeffs, k, diameter) -> (best, every reflection-deduplicated witness,
-# nodes) of a search that completed.
+# (coeffs, k, diameter) -> the uncapped ExtremalResult of a run that
+# completed: every witness, its nodes and its certificate.
 # The lock serialises eviction and insertion between caller threads.
-_search_memo: dict[tuple, tuple[int, tuple[KSet, ...], int]] = {}
+_search_memo: dict[tuple, ExtremalResult] = {}
 _search_memo_lock = threading.Lock()
 
 
@@ -670,9 +670,21 @@ def _search_bits(f: LinearForm, k: int, diameter: int) -> int:
 
 
 def clear_search_memo() -> None:
-    """Forget every search result remembered by search_min."""
+    """Forget every result remembered by compute_nf."""
     with _search_memo_lock:
         _search_memo.clear()
+
+
+def _check_search(f: LinearForm, k: int, diameter: int, node_budget: int | None) -> None:
+    """search_min's argument checks (k, diameter, budget sign), then its bits cap."""
+    if k < 1:
+        raise InputError(f"need k >= 1, got {k}")
+    _check_diameter(k, diameter)
+    if node_budget is not None and node_budget < 0:
+        raise InputError(f"need a node budget >= 0, got {node_budget}")
+    bits = _search_bits(f, k, diameter)
+    if bits > SEARCH_BITS_CAP:
+        raise CapacityExceeded(f"search masks would need {bits} bits (cap {SEARCH_BITS_CAP})")
 
 
 def search_min(
@@ -691,6 +703,10 @@ def search_min(
     list is the full set of minimizers, deduplicated under reflection.
     The order is fixed, so results and node counts are deterministic.
 
+    cb[t] = L(t + 1) - 1, replayed from compute_nf's certificate: t
+    elements above the current maximum splice a (t+1)-set onto the
+    partial set in one shared value, so at least cb[t] values are new.
+
     Only sets whose first gap a_1 is at most their last gap are
     searched.  Reflection x -> a_{k-1} - x keeps the diameter, the gcd
     and the image size, and maps every other set onto one of these, its
@@ -702,58 +718,22 @@ def search_min(
 
     node_budget caps the nodes explored, the root {0} included: the
     search raises BudgetExceeded on node node_budget + 1, so a budget of
-    0 always stops; a negative budget is an InputError.
-
-    Completed searches are remembered per process, keyed by every input
-    that changes the outcome (coeffs, k and diameter), up to
-    SEARCH_MEMO_ENTRIES results.  A repeated search is answered from
-    memory with the same outcome, node count included: a remembered
-    count over node_budget raises exactly as the search would, on node
-    node_budget + 1.
-    clear_search_memo() forgets every result.
+    0 always stops; a negative budget is an InputError.  Every call
+    searches: only compute_nf remembers results.
     """
-    if k < 1:
-        raise InputError(f"need k >= 1, got {k}")
-    _check_diameter(k, diameter)
-    if node_budget is not None and node_budget < 0:
-        raise InputError(f"need a node budget >= 0, got {node_budget}")
-    bits = _search_bits(f, k, diameter)
-    if bits > SEARCH_BITS_CAP:
-        raise CapacityExceeded(f"search masks would need {bits} bits (cap {SEARCH_BITS_CAP})")
+    _check_search(f, k, diameter, node_budget)
     if k == 1:
-        hit = (1, (KSet((0,)),), 1)
-    else:
-        memo_key = (f.coeffs, k, diameter)
-        hit = _search_memo.get(memo_key)
-        if hit is None:
-            hit = _search(f, k, diameter, node_budget)
-            with _search_memo_lock:
-                if len(_search_memo) >= SEARCH_MEMO_ENTRIES:
-                    del _search_memo[next(iter(_search_memo))]
-                _search_memo[memo_key] = hit
-    best, reps, nodes = hit
-    if node_budget is not None and nodes > node_budget:
-        raise _budget_exceeded(node_budget)
-    return SearchOutcome(best=best, witnesses=reps, nodes=nodes)
-
-
-def _search(
-    f: LinearForm, k: int, diameter: int, node_budget: int | None
-) -> tuple[int, tuple[KSet, ...], int]:
-    """The DFS behind search_min (k >= 2): best, witnesses, nodes.
-
-    cb[t] = L(t + 1) - 1, from the L(1), ..., L(k) that check_certificate
-    replays from compute_nf's certificate: appending t elements above the
-    current maximum splices a (t+1)-set onto the partial set sharing
-    exactly one value, so at least that many new values appear.
-    """
+        if node_budget == 0:
+            raise _budget_exceeded(0)
+        return SearchOutcome(best=1, witnesses=(KSet((0,)),), nodes=1)
     cb = [b - 1 for b in check_certificate(f, k, lower_certificate(f, k))]
     if f.m == 2:
         u1, u2 = f.coeffs
         best, raw, nodes = _explore_binary(u1, u2, k, diameter, cb, node_budget)
     else:
         best, raw, nodes = _explore_general(f.coeffs, k, diameter, cb, node_budget)
-    return best, tuple(KSet(elems) for elems in _reflection_reps(raw)), nodes
+    reps = tuple(KSet(elems) for elems in _reflection_reps(raw))
+    return SearchOutcome(best=best, witnesses=reps, nodes=nodes)
 
 
 def compute_nf(
@@ -770,35 +750,51 @@ def compute_nf(
     applies (lower_certificate), replayed by check_certificate; the
     search prunes with the same certificate.  The upper bound is one
     search_min over diameter (None means u_total * (k - 1)), which alone
-    draws on node_budget (None is unlimited).  The search runs first, so
-    its argument checks and caps refuse before the O(k^2) certificate.
+    draws on node_budget (None is unlimited).  The search's argument
+    checks and caps refuse before anything is looked up or built.
     The result keeps the first witness_cap of the search's minimizers
     (None keeps every one, 0 none) and sets witness_overflow when it
     drops any; a negative cap is an InputError.
+
+    Completed runs are remembered per process, up to SEARCH_MEMO_ENTRIES
+    uncapped results keyed by (coeffs, k, diameter), all that changes the
+    outcome.  A repeat runs no search and builds no certificate, and gets
+    the same result and node count: over node_budget it raises as the
+    search would.  clear_search_memo() forgets every result.
     """
     if witness_cap is not None and witness_cap < 0:
         raise InputError(f"need a witness cap >= 0, got {witness_cap}")
     diameter = search_diameter(f, k, diameter)
-    out = search_min(f, k, diameter, node_budget=node_budget)
-    cert = lower_certificate(f, k)
-    check_certificate(f, k, cert)
-    if out.best < cert.bound:
-        raise LinformsError(
-            f"internal: search found {out.best} under certificate {cert.bound} for {f}, k={k}"
+    _check_search(f, k, diameter, node_budget)
+    key = (f.coeffs, k, diameter)
+    res = _search_memo.get(key)
+    if res is None:
+        out = search_min(f, k, diameter, node_budget=node_budget)
+        cert = lower_certificate(f, k)
+        check_certificate(f, k, cert)
+        if out.best < cert.bound:
+            raise LinformsError(
+                f"internal: search found {out.best} under certificate {cert.bound} for {f}, k={k}"
+            )
+        res = ExtremalResult(
+            form=f,
+            k=k,
+            diameter_searched=diameter,
+            lower=cert.bound,
+            certificate=cert,
+            best=out.best,
+            witnesses=out.witnesses,
+            exact=out.best == cert.bound,
+            nodes_explored=out.nodes,
         )
-    witnesses = out.witnesses[:witness_cap]
-    return ExtremalResult(
-        form=f,
-        k=k,
-        diameter_searched=diameter,
-        lower=cert.bound,
-        certificate=cert,
-        best=out.best,
-        witnesses=witnesses,
-        exact=out.best == cert.bound,
-        nodes_explored=out.nodes,
-        witness_overflow=len(witnesses) < len(out.witnesses),
-    )
+        with _search_memo_lock:
+            if len(_search_memo) >= SEARCH_MEMO_ENTRIES:
+                del _search_memo[next(iter(_search_memo))]
+            _search_memo[key] = res
+    elif node_budget is not None and res.nodes_explored > node_budget:
+        raise _budget_exceeded(node_budget)
+    witnesses = res.witnesses[:witness_cap]
+    return replace(res, witnesses=witnesses, witness_overflow=len(witnesses) < len(res.witnesses))
 
 
 def compute_mf(f: LinearForm, k: int) -> MaxResult:

@@ -25,7 +25,7 @@ def rng() -> random.Random:
 
 @pytest.fixture(autouse=True)
 def cold_search_memo() -> None:
-    """Each test starts with no remembered search results."""
+    """Each test starts with compute_nf's result store empty."""
     clear_search_memo()
 
 

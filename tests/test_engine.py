@@ -23,7 +23,7 @@ from oracles import (
     oracle_min,
 )
 import linforms
-from linforms import engine, sets
+from linforms import engine, explorer, sets, theory
 from linforms.certificate import (
     Certificate,
     binary_nf3_certificate,
@@ -252,7 +252,8 @@ class TestSearchMin:
         # sets {0, a_1}, 2^8 sub-multiset masks and 36 group masks, does not.
         f = LinearForm((1, 2, 3, 4, 5, 6, 7, 8))
         assert f.u_total * 200_000 + 1 <= engine.SEARCH_BITS_CAP
-        monkeypatch.setattr(engine, "_search", None)  # a search would now fail
+        for name in ("_explore_binary", "_explore_general", "lower_certificate"):
+            monkeypatch.setattr(engine, name, None)  # a search would now fail
         with pytest.raises(CapacityExceeded, match=r"need 1062000585 bits"):
             search_min(f, 3, 200_000)
 
@@ -260,8 +261,8 @@ class TestSearchMin:
         # Every mask of the root {0} is {0}, but there are 2^30 + 465 of
         # them; the cap refuses before the layout is built.
         f = LinearForm(tuple(range(1, 31)))
-        monkeypatch.setattr(engine, "_search", None)
-        monkeypatch.setattr(engine, "_frame_layout", None)
+        for name in ("_explore_binary", "_explore_general", "lower_certificate", "_frame_layout"):
+            monkeypatch.setattr(engine, name, None)
         with pytest.raises(CapacityExceeded, match=r"need 1073742755 bits"):
             search_min(f, 2, 1)
 
@@ -391,15 +392,15 @@ class TestSearchMin:
 
     @pytest.mark.parametrize("coeffs,k", [((1, 3), 1), ((1, 3), 4), ((1, 2, 3), 3)])
     def test_zero_budget_stops_at_the_root(self, coeffs, k):
-        # The k = 1 answer, both kernels' first count and a memo replay
-        # all refuse a budget of 0 on the root {0}.
+        # The k = 1 answer, both kernels' first count and a compute_nf
+        # memo hit all refuse a budget of 0 on the root {0}.
         f = LinearForm(coeffs)
         clear_search_memo()
         for _ in ("cold", "memo hit"):
             with pytest.raises(BudgetExceeded) as info:
-                search_min(f, k, 3 * k, node_budget=0)
+                compute_nf(f, k, diameter=3 * k, node_budget=0)
             assert (str(info.value), info.value.nodes) == ("node budget 0 exhausted (1 nodes)", 1)
-            search_min(f, k, 3 * k)
+            compute_nf(f, k, diameter=3 * k)
 
     def test_negative_budget_is_input_error(self):
         with pytest.raises(InputError, match="node budget >= 0, got -1"):
@@ -456,23 +457,25 @@ class TestSearchMin:
         assert search_min(LinearForm((1, 2, 3)), 4, 12) == runs[0]
 
     def test_memo_answers_repeats(self, monkeypatch):
+        # A compute_nf hit runs no search and builds no certificate.
         f = LinearForm((1, 3))
-        cold = search_min(f, 4, 12)
-        monkeypatch.setattr(engine, "_search", None)  # a miss would now fail
-        assert search_min(f, 4, 12) == cold
+        cold = compute_nf(f, 4, diameter=12)
+        monkeypatch.setattr(engine, "search_min", None)  # a miss would now fail
+        monkeypatch.setattr(engine, "lower_certificate", None)
+        assert compute_nf(f, 4, diameter=12) == cold
 
     def test_memo_keys_ladder(self):
         # The search always prunes with the certificate compute_nf reports,
         # so the memo key has no certificate axis.
         clear_search_memo()
-        assert search_min(LinearForm((1, 3)), 6, 20).nodes == 761
+        assert compute_nf(LinearForm((1, 3)), 6, diameter=20).nodes_explored == 761
         assert list(engine._search_memo) == [((1, 3), 6, 20)]
 
     def test_memo_entry_bound(self, monkeypatch):
         monkeypatch.setattr(engine, "SEARCH_MEMO_ENTRIES", 2)
         f = LinearForm((1, 3))
         for k in (2, 3, 4):
-            search_min(f, k, 9)
+            compute_nf(f, k, diameter=9)
         assert [key[1] for key in engine._search_memo] == [3, 4]
 
     def test_memo_shared_by_threads(self, monkeypatch):
@@ -480,14 +483,14 @@ class TestSearchMin:
         # unsynchronised threads would delete the same oldest key twice.
         monkeypatch.setattr(engine, "SEARCH_MEMO_ENTRIES", 1)
         f = LinearForm((1, 3))
-        want = {d: search_min(f, 2, d) for d in range(1, 41)}
+        want = {d: compute_nf(f, 2, diameter=d) for d in range(1, 41)}
         errors = []
 
         def worker(seed: int) -> None:
             try:
                 for i in range(1500):
                     d = 1 + (seed + i) % 40
-                    assert search_min(f, 2, d) == want[d]
+                    assert compute_nf(f, 2, diameter=d) == want[d]
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
 
@@ -949,6 +952,39 @@ class TestComputeNf:
             res = compute_nf(LinearForm(coeffs), k)
             assert len(calls) == 1, (coeffs, k)
             assert res.nodes_explored == calls[0].nodes
+
+    def test_one_search_per_key_across_callers(self, monkeypatch):
+        # Both converse scans and a verify suite share one store: each
+        # distinct (coeffs, k, diameter) is searched once, and every
+        # answer is that of a cold run.
+        parts = (
+            lambda: explorer.scan_completeness_converse(2, 6, 4),
+            lambda: explorer.scan_ap_minimizer_converse(2, 6, 4),
+            lambda: theory.verify_suite("thm31", theory.SuiteBounds(2, 6, 4)),
+        )
+        cold = []
+        for part in parts:
+            clear_search_memo()
+            cold.append(part())
+        clear_search_memo()
+        keys = []
+        for module in (explorer, theory):
+
+            def received(f, k, *, _nf=module.compute_nf, **kwargs):
+                keys.append((f.coeffs, k, engine.search_diameter(f, k, kwargs.get("diameter"))))
+                return _nf(f, k, **kwargs)
+
+            monkeypatch.setattr(module, "compute_nf", received)
+        searches = []
+
+        def counting(f, k, diameter, **kwargs):
+            searches.append((f.coeffs, k, diameter))
+            return search_min(f, k, diameter, **kwargs)
+
+        monkeypatch.setattr(engine, "search_min", counting)
+        assert [part() for part in parts] == cold
+        assert sorted(searches) == sorted(set(keys))
+        assert len(set(keys)) < len(keys)  # the callers repeat keys
 
     @given(
         st.lists(st.integers(1, 4), min_size=1, max_size=3)
