@@ -88,11 +88,12 @@ _search_memo_lock = threading.Lock()
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Raw result of one exhaustive search: value, witnesses, node count."""
+    """Raw result of one exhaustive search: value, witnesses, nodes, pruning certificate."""
 
     best: int
     witnesses: tuple[KSet, ...]
     nodes: int
+    certificate: Certificate
 
 
 @dataclass(frozen=True)
@@ -703,9 +704,10 @@ def search_min(
     list is the full set of minimizers, deduplicated under reflection.
     The order is fixed, so results and node counts are deterministic.
 
-    cb[t] = L(t + 1) - 1, replayed from compute_nf's certificate: t
-    elements above the current maximum splice a (t+1)-set onto the
-    partial set in one shared value, so at least cb[t] values are new.
+    cb[t] = L(t + 1) - 1, replayed by check_certificate from
+    lower_certificate(f, k), which the outcome carries: t elements above
+    the current maximum splice a (t+1)-set onto the partial set in one
+    shared value, so at least cb[t] values are new.
 
     Only sets whose first gap a_1 is at most their last gap are
     searched.  Reflection x -> a_{k-1} - x keeps the diameter, the gcd
@@ -722,18 +724,19 @@ def search_min(
     searches: only compute_nf remembers results.
     """
     _check_search(f, k, diameter, node_budget)
+    cert = lower_certificate(f, k)
+    cb = [b - 1 for b in check_certificate(f, k, cert)]
     if k == 1:
         if node_budget == 0:
             raise _budget_exceeded(0)
-        return SearchOutcome(best=1, witnesses=(KSet((0,)),), nodes=1)
-    cb = [b - 1 for b in check_certificate(f, k, lower_certificate(f, k))]
+        return SearchOutcome(best=1, witnesses=(KSet((0,)),), nodes=1, certificate=cert)
     if f.m == 2:
         u1, u2 = f.coeffs
         best, raw, nodes = _explore_binary(u1, u2, k, diameter, cb, node_budget)
     else:
         best, raw, nodes = _explore_general(f.coeffs, k, diameter, cb, node_budget)
     reps = tuple(KSet(elems) for elems in _reflection_reps(raw))
-    return SearchOutcome(best=best, witnesses=reps, nodes=nodes)
+    return SearchOutcome(best=best, witnesses=reps, nodes=nodes, certificate=cert)
 
 
 def compute_nf(
@@ -747,8 +750,8 @@ def compute_nf(
     """Certified bracket (exact when closed) for the k-set minimum of |f(A)|.
 
     The lower bound is the split recursion from every base value that
-    applies (lower_certificate), replayed by check_certificate; the
-    search prunes with the same certificate.  The upper bound is one
+    applies (lower_certificate): the certificate search_min replays with
+    check_certificate and prunes with, built once.  The upper bound is one
     search_min over diameter (None means u_total * (k - 1)), which alone
     draws on node_budget (None is unlimited).  The search's argument
     checks and caps refuse before anything is looked up or built.
@@ -770,8 +773,7 @@ def compute_nf(
     res = _search_memo.get(key)
     if res is None:
         out = search_min(f, k, diameter, node_budget=node_budget)
-        cert = lower_certificate(f, k)
-        check_certificate(f, k, cert)
+        cert = out.certificate
         if out.best < cert.bound:
             raise LinformsError(
                 f"internal: search found {out.best} under certificate {cert.bound} for {f}, k={k}"

@@ -819,6 +819,21 @@ class TestComputeNf:
         with pytest.raises(InputError, match="node budget >= 0, got -1"):
             compute_nf(LinearForm((1, 3)), 3, node_budget=-1)
 
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_one_certificate_per_miss(self, monkeypatch, k):
+        # search_min builds and replays the certificate it prunes with, and
+        # compute_nf reports that one instead of building its own.
+        f, built = LinearForm((1, 3)), []
+
+        def counted(*args):
+            built.append(args)
+            return lower_certificate(*args)
+
+        monkeypatch.setattr(engine, "lower_certificate", counted)
+        res = compute_nf(f, k)
+        assert built == [(f, k)]
+        assert res.certificate == search_min(f, k, res.diameter_searched).certificate
+
     def test_open_bracket_reported(self):
         res = compute_nf(LinearForm((1, 3)), 4)
         assert not res.exact

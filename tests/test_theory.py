@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from linforms import theory
+from linforms.certificate import Certificate, check_certificate, lower_certificate, split_recursion
 from linforms.engine import compute_nf
 from linforms.errors import (
     BudgetExceeded,
@@ -16,7 +17,7 @@ from linforms.errors import (
     NotStrictlyIncreasing,
     NotTernary,
 )
-from linforms.forms import LinearForm, enumerate_normalized
+from linforms.forms import LinearForm, enumerate_complete, enumerate_normalized
 from linforms.sets import KSet
 from linforms.theory import (
     SUITES,
@@ -181,11 +182,12 @@ class TestSuites:
 
         monkeypatch.setattr(theory, "compute_nf", counted(theory.compute_nf))
         monkeypatch.setattr(theory, "compute_mf", counted(theory.compute_mf))
+        monkeypatch.setattr(theory, "lower_certificate", counted(theory.lower_certificate))
         monkeypatch.setattr(theory, "enumerate_normalized", counted_forms)
         monkeypatch.setattr(theory, "INSTANCE_BUDGET", budget)
         with pytest.raises(BudgetExceeded, match=f"would touch more than {budget} instances$"):
             verify_suite(suite, bounds)
-        assert calls == []
+        assert calls == []  # no search and no certificate before the refusal
         # Forms are drawn lazily, and only until the budget overflows.
         assert drawn <= budget + 1
 
@@ -219,6 +221,76 @@ class TestSuites:
         assert report.to_json()["passed"] is False
 
 
+class TestSuiteTraffic:
+    """Floors are checked on certificates; compute_nf runs only for exact claims."""
+
+    @pytest.fixture
+    def searched(self, monkeypatch):
+        calls = []
+
+        def counted(f, k, **kwargs):
+            calls.append((f.coeffs, k))
+            return compute_nf(f, k, **kwargs)
+
+        monkeypatch.setattr(theory, "compute_nf", counted)
+        return calls
+
+    def test_thm23_searches_only_the_first_m_integers(self, searched):
+        report = verify_suite("thm23", SuiteBounds(4, 12, 4))
+        assert (report.checked, report.passed) == (2160, True)
+        assert searched == [(tuple(range(1, m + 1)), k) for m in (2, 3, 4) for k in (2, 3, 4)]
+
+    def test_thm31_searches_exact_classes_and_the_3_set_value(self, searched):
+        report = verify_suite("thm31", SuiteBounds(2, 12, 4))
+        assert (report.checked, report.passed) == (184, True)
+        exact = ((1, 1), (1, 2))
+        forms = [f.coeffs for f in enumerate_normalized(2, 12)]
+        assert searched == [(c, k) for c in forms for k in range(1, 5) if c in exact or k == 3]
+
+    def test_weaker_certificate_names_its_bound(self, monkeypatch):
+        # Without the 3-set value 8, (1,3) keeps only L(n) = 3n - 2: a
+        # certificate check_certificate accepts, under the floor from k = 3
+        # on. k = 3 claims the exact value 8, so it is searched instead.
+        def weak_for_13(f, k):
+            if f.coeffs != (1, 3):
+                return lower_certificate(f, k)
+            bounds, splits = split_recursion(4, None, k)
+            return Certificate(bounds[-1], 4, None, splits)
+
+        monkeypatch.setattr(theory, "lower_certificate", weak_for_13)
+        report = verify_suite("thm31", SuiteBounds(2, 3, 5))
+        assert report.mismatches == (
+            "(1,3) k=4: certificate 10 under the floor 11",
+            "(1,3) k=5: certificate 13 under the floor 15",
+        )
+
+
+class TestFloorsFromCertificates:
+    """The replayed certificate alone meets every floor the suites check."""
+
+    @staticmethod
+    def replayed(f, k):
+        return check_certificate(f, k, lower_certificate(f, k))[-1]
+
+    def test_strictly_increasing_forms_meet_the_first_m_integers(self):
+        for m, c in ((2, 14), (3, 14), (4, 14), (5, 9)):
+            for f in enumerate_normalized(m, c, True):
+                for k in range(1, 9):
+                    assert self.replayed(f, k) >= nstar_formula(m, k), (f, k)
+
+    def test_binary_forms_meet_their_class_bound(self):
+        for f in enumerate_normalized(2, 30):
+            cls = classify_binary(f)
+            for k in range(1, 9):
+                assert self.replayed(f, k) >= cls.bound(k), (f, k)
+
+    def test_complete_forms_equal_the_formula(self):
+        for m in range(1, 6):
+            for f in enumerate_complete(m, 12):
+                for k in range(1, 8):
+                    assert self.replayed(f, k) == complete_formula(f.u_total, k), (f, k)
+
+
 def _bad_nf(f, k, **kw):
     return SimpleNamespace(lower=0, best=1, exact=False, witnesses=())
 
@@ -229,11 +301,13 @@ def _non_progression_nf(f, k, **kw):
 
 
 class TestSuiteMismatches:
-    """Each suite's exact mismatch list under engine results that fail its checks."""
+    """Each suite's exact mismatch list under engine results and certificate
+    replays that fail its checks."""
 
     @pytest.fixture(autouse=True)
     def failing_engine(self, monkeypatch):
         monkeypatch.setattr(theory, "compute_nf", _bad_nf)
+        monkeypatch.setattr(theory, "check_certificate", lambda f, k, cert: [0] * k)
         monkeypatch.setattr(theory, "compute_mf", lambda f, k: SimpleNamespace(value=0))
         monkeypatch.setattr(theory, "exact_nf2", lambda f: 0)
 
@@ -241,17 +315,13 @@ class TestSuiteMismatches:
         report = verify_suite("thm23", SuiteBounds(3, 3, 3))
         assert report.checked == 8
         assert report.mismatches == (
-            "(1,2) k=2: best 1 beats the floor 4",
             "(1,2) k=2: expected exact 4, got [0,1] exact=False",
-            "(1,3) k=2: best 1 beats the floor 4",
-            "(2,3) k=2: best 1 beats the floor 4",
-            "(1,2) k=3: best 1 beats the floor 7",
+            "(1,3) k=2: certificate 0 under the floor 4",
+            "(2,3) k=2: certificate 0 under the floor 4",
             "(1,2) k=3: expected exact 7, got [0,1] exact=False",
-            "(1,3) k=3: best 1 beats the floor 7",
-            "(2,3) k=3: best 1 beats the floor 7",
-            "(1,2,3) k=2: best 1 beats the floor 7",
+            "(1,3) k=3: certificate 0 under the floor 7",
+            "(2,3) k=3: certificate 0 under the floor 7",
             "(1,2,3) k=2: expected exact 7, got [0,1] exact=False",
-            "(1,2,3) k=3: best 1 beats the floor 13",
             "(1,2,3) k=3: expected exact 13, got [0,1] exact=False",
         )
 
@@ -265,13 +335,11 @@ class TestSuiteMismatches:
             "(1,2) k=1: expected exact 1, got [0,1] exact=False",
             "(1,2) k=2: expected exact 4, got [0,1] exact=False",
             "(1,2) k=3: expected exact 7, got [0,1] exact=False",
-            "(1,3) k=1: bracket [0,1] under the bound 1",
-            "(1,3) k=2: bracket [0,1] under the bound 4",
-            "(1,3) k=3: bracket [0,1] under the bound 8",
+            "(1,3) k=1: certificate 0 under the floor 1",
+            "(1,3) k=2: certificate 0 under the floor 4",
             "(1,3) k=3: expected exact 8, got [0,1] exact=False",
-            "(2,3) k=1: bracket [0,1] under the bound 1",
-            "(2,3) k=2: bracket [0,1] under the bound 4",
-            "(2,3) k=3: bracket [0,1] under the bound 8",
+            "(2,3) k=1: certificate 0 under the floor 1",
+            "(2,3) k=2: certificate 0 under the floor 4",
             "(2,3) k=3: expected exact 8, got [0,1] exact=False",
         )
 
