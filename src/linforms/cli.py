@@ -16,7 +16,8 @@ import sys
 
 from . import cache as cache_mod
 from . import explorer
-from .engine import _check_diameter, compute_mf, compute_nf, enumerate_minimizers, search_diameter
+from .engine import _check_diameter, _check_search, compute_mf, compute_nf
+from .engine import enumerate_minimizers, search_diameter
 from .errors import InputError, ResourceError
 from .explorer import (
     STATUS_CANDIDATE,
@@ -29,52 +30,54 @@ from .forms import parse_coeffs
 from .theory import SUITES, SuiteBounds, _verify
 
 
+#: `nf` shows at most this many minimizers, fresh or cached; the text
+#: marks a longer list "(list capped)".
+_SHOWN_MINIMIZERS = 64
+
+
 def _fmt_set(elems) -> str:
     return "{" + ",".join(map(str, elems)) + "}"
 
 
 def cmd_nf(args: argparse.Namespace) -> int:
     f = parse_coeffs(args.coeffs)
-    options = dict(diameter=args.diameter, node_budget=args.budget_nodes)
     diameter = search_diameter(f, args.k, args.diameter)
+    # A cached answer is refused whatever a fresh run refuses.
+    _check_search(f, args.k, diameter, args.budget_nodes)
+    options = dict(diameter=diameter, node_budget=args.budget_nodes)
 
     if args.cache:
         try:
             rec = cache_mod.lookup(args.cache, f.coeffs, args.k, diameter)
-            hit = rec is not None
+            source = "; cache hit"
             if rec is None:
                 rec = cache_mod.record_from_result(compute_nf(f, args.k, **options))
                 cache_mod.append_record(args.cache, rec)
+                source = "; computed"
         except OSError as exc:
             raise InputError(f"cache file {args.cache}: {exc.strerror or exc}") from None
-        if args.json:
-            print(json.dumps(rec.to_json()))
-        else:
-            status = "exact" if rec.exact else f"bracket [{rec.lower},{rec.best}]"
-            source = "cache hit" if hit else "computed"
-            print(
-                f"coeffs {f}  k={rec.k}  diameter {rec.diameter}: "
-                f"min distinct values = {rec.best} ({status}; {source})"
-            )
-            for w in rec.witnesses:
-                print(f"  minimizer {_fmt_set(w)}")
-        return 0
-
-    res = compute_nf(f, args.k, **options)
-    if args.json:
-        print(json.dumps(res.to_json()))
+        out, lines = rec.to_json(), []
     else:
-        status = "exact" if res.exact else f"bracket [{res.lower},{res.best}]"
-        print(
-            f"coeffs {f}  k={res.k}  diameter {res.diameter_searched}: "
-            f"min distinct values = {res.best} ({status})"
-        )
+        res = compute_nf(f, args.k, **options)
         cert = res.certificate
         bases = f"nf2={cert.nf2}" + ("" if cert.nf3 is None else f", nf3={cert.nf3}")
-        print(f"  lower {res.lower} by block splits from {bases}; nodes {res.nodes_explored}")
-        suffix = " (list capped)" if res.witness_overflow else ""
-        for w in res.witnesses:
-            print(f"  minimizer {_fmt_set(w.elems)}{suffix}")
+        out, source = res.to_json(), ""
+        lines = [f"  lower {res.lower} by block splits from {bases}; nodes {res.nodes_explored}"]
+
+    # The one place the witness list is capped, whichever path answered.
+    witnesses = out["witnesses"]
+    shown = witnesses[:_SHOWN_MINIMIZERS]
+    if args.json:
+        print(json.dumps({**out, "witnesses": shown}))
+        return 0
+    status = "exact" if out["exact"] else f"bracket [{out['lower']},{out['best']}]"
+    header = (
+        f"coeffs {f}  k={out['k']}  diameter {out['diameter']}: "
+        f"min distinct values = {out['best']} ({status}{source})"
+    )
+    suffix = " (list capped)" if len(shown) < len(witnesses) else ""
+    lines += [f"  minimizer {_fmt_set(w)}{suffix}" for w in shown]
+    print(header, *lines, sep="\n")
     return 0
 
 

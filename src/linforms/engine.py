@@ -56,7 +56,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .certificate import Certificate, check_certificate, lower_certificate
 from .errors import (
@@ -79,8 +79,8 @@ SEARCH_BITS_CAP = 10**7
 #: compute_nf keeps at most this many results in memory; the oldest goes first.
 SEARCH_MEMO_ENTRIES = 4096
 
-# (coeffs, k, diameter) -> the uncapped ExtremalResult of a run that
-# completed: every witness, its nodes and its certificate.
+# (coeffs, k, diameter) -> the ExtremalResult of a run that completed:
+# every witness, its nodes and its certificate.
 # The lock serialises eviction and insertion between caller threads.
 _search_memo: dict[tuple, ExtremalResult] = {}
 _search_memo_lock = threading.Lock()
@@ -109,7 +109,6 @@ class ExtremalResult:
     witnesses: tuple[KSet, ...]
     exact: bool
     nodes_explored: int
-    witness_overflow: bool = False
 
     def to_json(self) -> dict:
         return {
@@ -715,8 +714,7 @@ def search_min(
     lexicographically smaller mirror image, which is the witness
     reported anyway; a pair with equal end gaps is visited twice and
     deduplicated.  Best values and witness lists are those of the full
-    search, but node counts are about 0.5-0.7 times those of versions
-    that searched both members of each pair.
+    search.
 
     node_budget caps the nodes explored, the root {0} included: the
     search raises BudgetExceeded on node node_budget + 1, so a budget of
@@ -744,7 +742,6 @@ def compute_nf(
     k: int,
     *,
     diameter: int | None = None,
-    witness_cap: int | None = 64,
     node_budget: int | None = None,
 ) -> ExtremalResult:
     """Certified bracket (exact when closed) for the k-set minimum of |f(A)|.
@@ -755,18 +752,14 @@ def compute_nf(
     search_min over diameter (None means u_total * (k - 1)), which alone
     draws on node_budget (None is unlimited).  The search's argument
     checks and caps refuse before anything is looked up or built.
-    The result keeps the first witness_cap of the search's minimizers
-    (None keeps every one, 0 none) and sets witness_overflow when it
-    drops any; a negative cap is an InputError.
+    The result keeps every minimizer the search found.
 
     Completed runs are remembered per process, up to SEARCH_MEMO_ENTRIES
-    uncapped results keyed by (coeffs, k, diameter), all that changes the
+    results keyed by (coeffs, k, diameter), all that changes the
     outcome.  A repeat runs no search and builds no certificate, and gets
-    the same result and node count: over node_budget it raises as the
-    search would.  clear_search_memo() forgets every result.
+    the same result object, node count included: over node_budget it
+    raises as the search would.  clear_search_memo() forgets every result.
     """
-    if witness_cap is not None and witness_cap < 0:
-        raise InputError(f"need a witness cap >= 0, got {witness_cap}")
     diameter = search_diameter(f, k, diameter)
     _check_search(f, k, diameter, node_budget)
     key = (f.coeffs, k, diameter)
@@ -795,8 +788,7 @@ def compute_nf(
             _search_memo[key] = res
     elif node_budget is not None and res.nodes_explored > node_budget:
         raise _budget_exceeded(node_budget)
-    witnesses = res.witnesses[:witness_cap]
-    return replace(res, witnesses=witnesses, witness_overflow=len(witnesses) < len(res.witnesses))
+    return res
 
 
 def compute_mf(f: LinearForm, k: int) -> MaxResult:
@@ -823,9 +815,9 @@ def enumerate_minimizers(f: LinearForm, k: int, diameter: int | None = None) -> 
 
     Only meaningful when the minimum is certified exact; otherwise the
     listed sets might not be true minimizers, so NotCertifiedExact is
-    raised.  The witness list is uncapped.
+    raised.
     """
-    res = compute_nf(f, k, diameter=diameter, witness_cap=None)
+    res = compute_nf(f, k, diameter=diameter)
     if not res.exact:
         raise NotCertifiedExact(
             f"bracket [{res.lower}, {res.best}] is open for {f}, k={k}, "

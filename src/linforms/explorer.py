@@ -162,8 +162,7 @@ def _scan(slices: Iterable[tuple], diameter: int | None) -> Iterator[ScanFinding
 
     def finding(problem: str, k: int, f: LinearForm, complete: bool) -> list[ScanFinding]:
         _, verdict = _PROBLEMS[problem]
-        # Uncapped: a verdict may read every minimizer.
-        res = compute_nf(f, k, diameter=diameter, witness_cap=None)
+        res = compute_nf(f, k, diameter=diameter)
         predicted = complete_formula(f.u_total, k)
         status, detail = verdict(f, res, complete, predicted)
         return [

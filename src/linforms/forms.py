@@ -41,8 +41,10 @@ class LinearForm:
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise EmptyCoefficients("form has no coefficients")
-        if any(u <= 0 for u in self.coeffs):
-            raise NonPositiveCoefficient(f"coefficients must be >= 1, got {self.coeffs}")
+        if any(not isinstance(u, int) or isinstance(u, bool) or u <= 0 for u in self.coeffs):
+            raise NonPositiveCoefficient(
+                f"coefficients must be positive integers, got {self.coeffs}"
+            )
         if list(self.coeffs) != sorted(self.coeffs):
             raise InputError(f"coefficients must be sorted ascending, got {self.coeffs}")
         if math.gcd(*self.coeffs) != 1:

@@ -261,7 +261,7 @@ def _suite_thm41(bounds: SuiteBounds) -> tuple[Iterable[tuple], Callable]:
     """Complete forms: exact formula and progressions as sole minimizers."""
 
     def check(f: LinearForm, k: int) -> list[str]:
-        res = compute_nf(f, k, diameter=bounds.diameter, witness_cap=None)
+        res = compute_nf(f, k, diameter=bounds.diameter)
         bad = _expect_exact(f, k, complete_formula(f.u_total, k), res)
         if bad or f.u_total == 1:
             # The single-unit form maps every k-set to exactly k values,

@@ -39,7 +39,6 @@ def test_criterion_1_binary_exact_families():
             res = compute_nf(f, k)
             assert res.exact, (coeffs, k, res.lower, res.best)
             assert res.best == formula(k), (coeffs, k, res.best)
-            assert not res.witness_overflow
             assert all(is_arithmetic_progression(w.elems) for w in res.witnesses)
             assert [w.elems for w in res.witnesses] == [tuple(range(k))]
     assert time.monotonic() - t0 <= 5.0

@@ -339,6 +339,11 @@ class TestCliNf:
         assert obj["witnesses"] == [[0, 1, 3], [0, 1, 4]]
         assert obj["certificate"] == {"nf2": 4, "nf3": 8, "splits": [None, None, None]}
 
+    def test_short_list_is_not_marked(self, capsys):
+        code, out, _ = run(capsys, "nf", "--coeffs", "1,3", "--k", "1")
+        assert code == 0
+        assert out.splitlines()[-1] == "  minimizer {0}"
+
     def test_bracket_human(self, capsys):
         code, out, _ = run(capsys, "nf", "--coeffs", "1,3", "--k", "4")
         assert code == 0
@@ -693,6 +698,47 @@ class TestCliCache:
         code, out, _ = run(capsys, *args)
         rec = json.loads(out)
         assert code == 0 and (rec["lower"], rec["best"], rec["exact"]) == (8, 8, True)
+
+    def test_capped_list_is_the_same_fresh_miss_and_hit(self, tmp_path, capsys):
+        # (1) at k = 4 within 20 has 530 minimizers: every answer shows the
+        # same first 64, the text marks each, and the file keeps all 530.
+        args = ("nf", "--coeffs", "1", "--k", "4", "--diameter", "20")
+        path = str(tmp_path / "c.jsonl")
+        texts = [run(capsys, *args)] + [run(capsys, *args, "--cache", path) for _ in range(2)]
+        assert [code for code, _, _ in texts] == [0, 0, 0]
+        assert "(exact; computed)" in texts[1][1] and "(exact; cache hit)" in texts[2][1]
+        minimizers = [[ln for ln in out.splitlines() if "minimizer" in ln] for _, out, _ in texts]
+        assert minimizers[0] == minimizers[1] == minimizers[2]
+        assert len(minimizers[0]) == 64
+        assert minimizers[0][0] == "  minimizer {0,1,2,3} (list capped)"
+        assert all(line.endswith("} (list capped)") for line in minimizers[0])
+        (record,) = cache.load_records(path)
+        assert len(record.witnesses) == 530
+
+        json_path = str(tmp_path / "j.jsonl")
+        answers = [run(capsys, *args, "--json")]
+        answers += [run(capsys, *args, "--json", "--cache", json_path) for _ in range(2)]
+        witnesses = [json.loads(out)["witnesses"] for _, out, _ in answers]
+        assert witnesses[0] == witnesses[1] == witnesses[2]
+        assert witnesses[0] == [list(w) for w in record.witnesses[:64]]
+
+    def test_hit_refuses_a_negative_budget(self, tmp_path, capsys):
+        path = str(tmp_path / "c.jsonl")
+        args = ("nf", "--coeffs", "1,3", "--k", "4", "--cache", path)
+        assert run(capsys, *args)[0] == 0
+        code, out, err = run(capsys, *args, "--budget-nodes", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: need a node budget >= 0, got -1\n"
+
+    def test_hit_refuses_k0(self, tmp_path, capsys):
+        # A hand-written record under the key a --k 0 request would look up.
+        path = tmp_path / "c.jsonl"
+        rec = dataclasses.replace(_record((1, 3), 1), k=0, diameter=-4, witnesses=((),))
+        cache.append_record(path, rec)
+        assert cache.lookup(path, (1, 3), 0, -4) == rec
+        code, out, err = run(capsys, "nf", "--coeffs", "1,3", "--k", "0", "--cache", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: need k >= 1, got 0\n"
 
     def test_different_diameter_misses(self, tmp_path, capsys):
         path = str(tmp_path / "c.jsonl")

@@ -248,7 +248,7 @@ class TestScanVerdicts:
         )
         findings = scan_completeness_converse(2, 4, 3, diameter=7)
         assert calls == [
-            (c, 3, {"diameter": 7, "witness_cap": None}) for c in [(1, 3), (1, 4), (2, 3), (3, 4)]
+            (c, 3, {"diameter": 7}) for c in [(1, 3), (1, 4), (2, 3), (3, 4)]
         ]
         assert _verdicts(findings) == [
             ((1, 3), False, 9, STATUS_CANDIDATE, "incomplete form attains the complete-form minimum"),
@@ -284,7 +284,7 @@ class TestScanVerdicts:
         )
         findings = scan_ap_minimizer_converse(2, 4, 3)
         assert calls == [
-            (c, 3, {"diameter": None, "witness_cap": None})
+            (c, 3, {"diameter": None})
             for c in [(1, 1), (1, 2), (1, 3), (1, 4), (2, 3), (3, 4)]
         ]
         assert _verdicts(findings) == [

@@ -49,6 +49,12 @@ class TestLinearForm:
         with pytest.raises(NonPositiveCoefficient):
             LinearForm((1, 0))
 
+    @pytest.mark.parametrize("coeffs", [(True, 3), (1.5, 2), (1, 2.0), ("1", 2)])
+    def test_rejects_non_integers(self, coeffs):
+        # A bool would print and serialize as true; a float would reach math.gcd.
+        with pytest.raises(NonPositiveCoefficient, match="positive integers"):
+            LinearForm(coeffs)
+
     def test_rejects_unsorted(self):
         with pytest.raises(InputError):
             LinearForm((2, 1))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import linforms
@@ -42,3 +44,28 @@ def test_every_public_definition_is_exported_or_used():
 def test_every_private_definition_is_used():
     # Tests do not count: a helper that only tests call is dead code.
     assert _unread_definitions(private=True) == []
+
+
+def test_benchmark_hooks_resolve():
+    # The benchmark traces these functions and reads these bindings and
+    # fields; bench/test_smoke.py is not in the tier-1 test paths.
+    # bench/tracer.py is loaded from its file, without touching sys.path.
+    spec = importlib.util.spec_from_file_location(
+        "_bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    )
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for home, attr, _ in tracer.TRACED:
+        assert callable(getattr(importlib.import_module(f"linforms.{home}"), attr)), (home, attr)
+    for binding in (
+        "cli.compute_nf",
+        "theory.compute_nf",
+        "explorer.compute_nf",
+        "explorer.image_mask",
+        "engine.composition_vectors",
+    ):
+        module, attr = binding.split(".")
+        assert callable(getattr(importlib.import_module(f"linforms.{module}"), attr)), binding
+    f = linforms.LinearForm((1, 3))
+    assert linforms.engine.search_min(f, 3, 6).nodes > 0
+    assert linforms.compute_nf(f, 3).nodes_explored > 0
