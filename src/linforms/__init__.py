@@ -68,7 +68,6 @@ from .explorer import (
     spectrum,
 )
 from .cache import (
-    CacheRecord,
     append_record,
     load_records,
     lookup,
@@ -80,7 +79,6 @@ __all__ = [
     "__version__",
     "SUITES",
     "BinaryClass",
-    "CacheRecord",
     "Certificate",
     "ExtremalResult",
     "KSet",

@@ -1,6 +1,8 @@
 """Append-only JSON-lines result cache for minimum computations.
 
-One line per record, keyed by (coeffs, k, diameter).  Appends take an
+One line per record, keyed by (coeffs, k, diameter).  A record is the
+JSON object of its line: the `nf --json` answer without `certificate`
+and `nodes`, then `timestamp` and `tool_version`.  Appends take an
 advisory exclusive lock so concurrent runs interleave whole lines;
 lookups let the latest record for a key win and skip records written
 by another tool version.  Corrupt lines are skipped with a warning on
@@ -24,7 +26,6 @@ import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -32,99 +33,62 @@ from typing import NamedTuple
 from . import __version__
 from .engine import ExtremalResult
 
-_FIELDS = ("coeffs", "k", "diameter", "lower", "best", "exact", "witnesses", "timestamp", "tool_version")
+#: A record's fields in file order, each with its JSON type: a Python
+#: type (an int is never a bool), or [kind] for a list of that kind.
+_FIELDS = {
+    "coeffs": [int],
+    "k": int,
+    "diameter": int,
+    "lower": int,
+    "best": int,
+    "exact": bool,
+    "witnesses": [[int]],
+    "timestamp": str,
+    "tool_version": str,
+}
 
 CacheKey = tuple[tuple[int, ...], int, int]
 
 
-@dataclass(frozen=True)
-class CacheRecord:
-    """One cached minimum computation."""
-
-    coeffs: tuple[int, ...]
-    k: int
-    diameter: int
-    lower: int
-    best: int
-    exact: bool
-    witnesses: tuple[tuple[int, ...], ...]
-    timestamp: str
-    tool_version: str
-
-    @property
-    def key(self) -> CacheKey:
-        return (self.coeffs, self.k, self.diameter)
-
-    def to_json(self) -> dict:
-        return {
-            "coeffs": list(self.coeffs),
-            "k": self.k,
-            "diameter": self.diameter,
-            "lower": self.lower,
-            "best": self.best,
-            "exact": self.exact,
-            "witnesses": [list(w) for w in self.witnesses],
-            "timestamp": self.timestamp,
-            "tool_version": self.tool_version,
-        }
+def record_from_result(res: ExtremalResult) -> dict:
+    """An engine result's cache record, stamped with the current UTC time."""
+    fields = {
+        **res.to_json(),
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "tool_version": __version__,
+    }
+    return {name: fields[name] for name in _FIELDS}
 
 
-def record_from_result(res: ExtremalResult) -> CacheRecord:
-    """Freeze an engine result into a cache record, stamped with the current UTC time."""
-    return CacheRecord(
-        coeffs=res.form.coeffs,
-        k=res.k,
-        diameter=res.diameter_searched,
-        lower=res.lower,
-        best=res.best,
-        exact=res.exact,
-        witnesses=tuple(w.elems for w in res.witnesses),
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        tool_version=__version__,
-    )
-
-
-def _typed(name: str, value, kind: type):
-    """value if it is a kind (for int, one that is not a bool); else ValueError."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ValueError(f"cache field {name} is not {kind.__name__}: {value!r}")
+def _checked(name: str, value, kind):
+    """value if it has the JSON type `kind` (see _FIELDS); else ValueError."""
+    t = list if isinstance(kind, list) else kind
+    if not isinstance(value, t) or (t is int and isinstance(value, bool)):
+        raise ValueError(f"cache field {name} is not {t.__name__}: {value!r}")
+    if t is list:
+        for item in value:
+            _checked(name, item, kind[0])
     return value
 
 
-def _ints(name: str, value) -> tuple[int, ...]:
-    """A list of ints as a tuple; anything else is a ValueError."""
-    return tuple(_typed(name, u, int) for u in _typed(name, value, list))
-
-
-def record_from_json(obj: dict) -> CacheRecord:
+def record_from_json(obj: dict) -> dict:
     """Parse one cache line; raises on shape violations (caller skips).
 
-    Fields are taken as they are, never coerced: ints (not bools) for
-    the integers, lists of them for coeffs and each witness, a bool for
-    exact and strings for timestamp and tool_version.
+    The record holds the fields of _FIELDS in file order, taken as they
+    are, never coerced; any other key is dropped.
     """
     if not all(name in obj for name in _FIELDS):
         raise ValueError(f"cache record missing fields: {sorted(set(_FIELDS) - set(obj))}")
-    return CacheRecord(
-        coeffs=_ints("coeffs", obj["coeffs"]),
-        k=_typed("k", obj["k"], int),
-        diameter=_typed("diameter", obj["diameter"], int),
-        lower=_typed("lower", obj["lower"], int),
-        best=_typed("best", obj["best"], int),
-        exact=_typed("exact", obj["exact"], bool),
-        witnesses=tuple(_ints("witnesses", w) for w in _typed("witnesses", obj["witnesses"], list)),
-        timestamp=_typed("timestamp", obj["timestamp"], str),
-        tool_version=_typed("tool_version", obj["tool_version"], str),
-    )
+    return {name: _checked(name, obj[name], kind) for name, kind in _FIELDS.items()}
 
 
-def append_record(path: str | Path, record: CacheRecord) -> None:
+def append_record(path: str | Path, record: dict) -> None:
     """Append one record under an advisory exclusive lock.
 
     A file that does not end in a newline (an interrupted append) gets
     one first, so the record starts a line of its own.
     """
-    line = (json.dumps(record.to_json()) + "\n").encode("utf-8")
+    line = (json.dumps(record) + "\n").encode("utf-8")
     with open(path, "ab+") as fh:
         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
         try:
@@ -139,7 +103,7 @@ def append_record(path: str | Path, record: CacheRecord) -> None:
             fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
 
 
-def _parse_lines(p: Path, lines: list[bytes], first_lineno: int) -> Iterator[CacheRecord]:
+def _parse_lines(p: Path, lines: list[bytes], first_lineno: int) -> Iterator[dict]:
     """Records of `lines` in order, the first numbered `first_lineno`.
 
     Blank lines are skipped; corrupt ones (bad UTF-8, bad or too deeply
@@ -157,14 +121,14 @@ def _parse_lines(p: Path, lines: list[bytes], first_lineno: int) -> Iterator[Cac
         yield rec
 
 
-def _index_records(index: dict[CacheKey, CacheRecord], records: Iterable[CacheRecord]) -> None:
+def _index_records(index: dict[CacheKey, dict], records: Iterable[dict]) -> None:
     """Let each current-version record win its key over earlier ones."""
     for rec in records:
-        if rec.tool_version == __version__:
-            index[rec.key] = rec
+        if rec["tool_version"] == __version__:
+            index[tuple(rec["coeffs"]), rec["k"], rec["diameter"]] = rec
 
 
-def load_records(path: str | Path) -> list[CacheRecord]:
+def load_records(path: str | Path) -> list[dict]:
     """All parseable records in file order; corrupt lines are skipped."""
     p = Path(path)
     if not p.exists():
@@ -178,8 +142,8 @@ class _Index(NamedTuple):
     stamp: tuple[int, int, int, int]  # (dev, ino, size, mtime_ns) when read
     kept: bytes  # the bytes indexed, through the last newline
     lines: int  # number of lines in `kept`
-    records: dict[CacheKey, CacheRecord]  # latest current-version record per key in `kept`
-    view: dict[CacheKey, CacheRecord]  # `records` updated with an unterminated last line
+    records: dict[CacheKey, dict]  # latest current-version record per key in `kept`
+    view: dict[CacheKey, dict]  # `records` updated with an unterminated last line
 
 
 _indexes: dict[str, _Index] = {}
@@ -208,8 +172,11 @@ def _read_index(path: str | Path, stamp: tuple[int, int, int, int], old: _Index 
 
 def lookup(
     path: str | Path, coeffs: tuple[int, ...], k: int, diameter: int
-) -> CacheRecord | None:
-    """Latest record for (coeffs, k, diameter) written by this version, if any."""
+) -> dict | None:
+    """Latest record for (coeffs, k, diameter) written by this version, if any.
+
+    The record is the index's own: callers must not mutate it.
+    """
     try:
         st = os.stat(path)
     except FileNotFoundError:

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 a verification suite failed or a scan found a
 candidate counterexample or theorem conflict, 2 malformed input, 3 a
-capacity or node budget was exceeded.  All machine output is
-JSON with integer values only, keys in a fixed order, one object per
-line for scans and cache dumps.
+capacity or node budget was exceeded, 141 the reader closed stdout
+(`linforms verify | head -1`), after which nothing more is printed.
+All machine output is JSON with integer values only, keys in a fixed
+order, one object per line for scans and cache dumps.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import cache as cache_mod
@@ -56,7 +58,7 @@ def cmd_nf(args: argparse.Namespace) -> int:
                 source = "; computed"
         except OSError as exc:
             raise InputError(f"cache file {args.cache}: {exc.strerror or exc}") from None
-        out, lines = rec.to_json(), []
+        out, lines = rec, []
     else:
         res = compute_nf(f, args.k, **options)
         cert = res.certificate
@@ -178,7 +180,7 @@ def cmd_cache_dump(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise InputError(f"cache file {args.cache}: {exc.strerror or exc}") from None
     for rec in records:
-        print(json.dumps(rec.to_json()))
+        print(json.dumps(rec))
     return 0
 
 
@@ -253,7 +255,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at os.devnull, so that the interpreter's exit flush
+        # of what is still buffered cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -423,8 +423,11 @@ def _explore_binary(
                 grand,
             )
 
-    cands, nodes = _root_frame(k, diameter, budget)
-    rec((0,), 0, 1, 1, 1, k - 1, 1, 0, 0, 0, cands)
+    try:
+        cands, nodes = _root_frame(k, diameter, budget)
+        rec((0,), 0, 1, 1, 1, k - 1, 1, 0, 0, 0, cands)
+    finally:
+        del rec  # its closure cell holds rec itself: free the cycle now
     return best, wits, nodes
 
 
@@ -578,8 +581,11 @@ def _explore_general(
             child[full] = Me
             rec(elems + (e,), g if g == 1 else gcd(g, e), child, t - 1, range(e + step, stop))
 
-    cands, nodes = _root_frame(k, diameter, budget)
-    rec((0,), 0, [1] * (full + 1), k - 1, cands)
+    try:
+        cands, nodes = _root_frame(k, diameter, budget)
+        rec((0,), 0, [1] * (full + 1), k - 1, cands)
+    finally:
+        del rec  # its closure cell holds rec itself: free the cycle now
     return best, wits, nodes
 
 

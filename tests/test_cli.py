@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
-import dataclasses
+import importlib.util
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import random_form_coeffs
+import linforms
 from linforms import __version__, cache
 from linforms.cli import main
 from linforms.engine import compute_nf
@@ -28,26 +31,21 @@ def run(capsys, *argv):
 
 def _record(coeffs, k, timestamp="t0", tool_version=__version__):
     """A well-formed record; its answer fields are not checked here."""
-    return cache.CacheRecord(
-        coeffs=coeffs,
-        k=k,
-        diameter=sum(coeffs) * (k - 1),
-        lower=1,
-        best=1,
-        exact=True,
-        witnesses=(tuple(range(k)),),
-        timestamp=timestamp,
-        tool_version=tool_version,
-    )
-
-
-def _stamped(res, timestamp):
-    """res frozen into a cache record with a fixed timestamp."""
-    return dataclasses.replace(cache.record_from_result(res), timestamp=timestamp)
+    return {
+        "coeffs": list(coeffs),
+        "k": k,
+        "diameter": sum(coeffs) * (k - 1),
+        "lower": 1,
+        "best": 1,
+        "exact": True,
+        "witnesses": [list(range(k))],
+        "timestamp": timestamp,
+        "tool_version": tool_version,
+    }
 
 
 def _line(rec):
-    return json.dumps(rec.to_json()).encode("utf-8")
+    return json.dumps(rec).encode("utf-8")
 
 
 _KEYS = (((1, 2), 3), ((1, 3), 3), ((2, 3), 3))
@@ -79,17 +77,17 @@ _CHANGES = st.one_of(
 class TestCacheModule:
     def test_round_trip(self, tmp_path):
         res = compute_nf(LinearForm((1, 3)), 3)
-        rec = _stamped(res, "2026-01-01T00:00:00+00:00")
+        rec = {**cache.record_from_result(res), "timestamp": "2026-01-01T00:00:00+00:00"}
         path = tmp_path / "c.jsonl"
         cache.append_record(path, rec)
         loaded = cache.load_records(path)
         assert loaded == [rec]
-        assert cache.record_from_json(rec.to_json()) == rec
+        assert cache.record_from_json(rec) == rec
 
     def test_json_field_order(self):
         res = compute_nf(LinearForm((1, 3)), 3)
-        rec = _stamped(res, "t")
-        assert list(rec.to_json()) == [
+        rec = {**cache.record_from_result(res), "timestamp": "t"}
+        order = [
             "coeffs",
             "k",
             "diameter",
@@ -100,16 +98,21 @@ class TestCacheModule:
             "timestamp",
             "tool_version",
         ]
+        assert list(rec) == order
+        # A parsed record takes the file order and drops any other key.
+        reordered = {"extra": 1, **dict(reversed(rec.items()))}
+        assert list(cache.record_from_json(reordered)) == order
+        assert cache.record_from_json(reordered) == rec
 
     def test_last_record_wins(self, tmp_path):
         path = tmp_path / "c.jsonl"
         res = compute_nf(LinearForm((1, 3)), 3)
-        first = _stamped(res, "t1")
-        second = _stamped(res, "t2")
+        first = {**cache.record_from_result(res), "timestamp": "t1"}
+        second = {**cache.record_from_result(res), "timestamp": "t2"}
         cache.append_record(path, first)
         cache.append_record(path, second)
         hit = cache.lookup(path, (1, 3), 3, res.diameter_searched)
-        assert hit is not None and hit.timestamp == "t2"
+        assert hit is not None and hit["timestamp"] == "t2"
 
     def test_missing_file_and_miss(self, tmp_path):
         assert cache.load_records(tmp_path / "absent.jsonl") == []
@@ -118,7 +121,7 @@ class TestCacheModule:
     def test_corrupt_lines_skipped(self, tmp_path, capsys):
         path = tmp_path / "c.jsonl"
         res = compute_nf(LinearForm((1, 3)), 3)
-        cache.append_record(path, _stamped(res, "t"))
+        cache.append_record(path, {**cache.record_from_result(res), "timestamp": "t"})
         with open(path, "a") as fh:
             fh.write("{broken\n")
             fh.write('{"coeffs": [1, 2]}\n')  # parseable JSON, wrong shape
@@ -142,9 +145,10 @@ class TestCacheModule:
     def test_mistyped_field_skipped(self, tmp_path, capsys, field, raw):
         # A value of the wrong JSON type is never coerced into a record.
         path = tmp_path / "c.jsonl"
-        rec = _stamped(compute_nf(LinearForm((1, 3)), 3), "t")
-        good = json.dumps(rec.to_json())
-        bad = json.dumps({**rec.to_json(), field: None}).replace(
+        res = compute_nf(LinearForm((1, 3)), 3)
+        rec = {**cache.record_from_result(res), "timestamp": "t"}
+        good = json.dumps(rec)
+        bad = json.dumps({**rec, field: None}).replace(
             f'"{field}": null', f'"{field}": {raw}'
         )
         path.write_text(good + "\n" + bad + "\n", encoding="utf-8")
@@ -152,12 +156,12 @@ class TestCacheModule:
         out, err = capsys.readouterr()
         assert out == good + "\n"
         assert f"c.jsonl:2: skipping corrupt cache line (cache field {field} is not" in err
-        assert cache.lookup(path, (1, 3), 3, rec.diameter) == rec
+        assert cache.lookup(path, (1, 3), 3, rec["diameter"]) == rec
 
     def test_other_version_skipped(self, tmp_path):
         path = tmp_path / "c.jsonl"
         res = compute_nf(LinearForm((1, 3)), 3)
-        old = dataclasses.replace(cache.record_from_result(res), tool_version="0.0.0")
+        old = {**cache.record_from_result(res), "tool_version": "0.0.0"}
         cache.append_record(path, old)
         assert cache.lookup(path, (1, 3), 3, res.diameter_searched) is None
         current = cache.record_from_result(res)
@@ -170,22 +174,25 @@ class TestCacheModule:
         path = tmp_path / "c.jsonl"
         path.write_text("")
         assert cache.lookup(path, (1, 3), 3, 8) is None
-        rec = _stamped(compute_nf(LinearForm((1, 3)), 3), "t1")
+        res = compute_nf(LinearForm((1, 3)), 3)
+        rec = {**cache.record_from_result(res), "timestamp": "t1"}
         cache.append_record(path, rec)
         assert cache.lookup(path, (1, 3), 3, 8) == rec
         # Another writer, without the lock, within the same modification
         # time tick: only the size tells.
-        other = _stamped(compute_nf(LinearForm((1, 2)), 3), "t2")
+        res = compute_nf(LinearForm((1, 2)), 3)
+        other = {**cache.record_from_result(res), "timestamp": "t2"}
         st = path.stat()
         with open(path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(other.to_json()) + "\n")
+            fh.write(json.dumps(other) + "\n")
         os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
         assert cache.lookup(path, (1, 2), 3, 6) == other
         assert cache.lookup(path, (1, 3), 3, 8) == rec
 
     def test_index_reloads_truncated_or_replaced(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        first = _stamped(compute_nf(LinearForm((1, 3)), 3), "t1")
+        res = compute_nf(LinearForm((1, 3)), 3)
+        first = {**cache.record_from_result(res), "timestamp": "t1"}
         cache.append_record(path, first)
         assert cache.lookup(path, (1, 3), 3, 8) == first
         path.write_text("")  # truncated in place
@@ -193,14 +200,14 @@ class TestCacheModule:
         cache.append_record(path, first)
         assert cache.lookup(path, (1, 3), 3, 8) == first
         # Rewritten in place: same inode and size, a later modification time.
-        second = dataclasses.replace(first, timestamp="t2")
+        second = {**first, "timestamp": "t2"}
         stamp = path.stat().st_mtime_ns
         with open(path, "r+", encoding="utf-8") as fh:
-            fh.write(json.dumps(second.to_json()) + "\n")
+            fh.write(json.dumps(second) + "\n")
         os.utime(path, ns=(stamp, stamp + 10**9))
         assert cache.lookup(path, (1, 3), 3, 8) == second
         # Replaced by another file: same size and modification time.
-        third = dataclasses.replace(first, timestamp="t3")
+        third = {**first, "timestamp": "t3"}
         fresh = tmp_path / "new.jsonl"
         cache.append_record(fresh, third)
         os.utime(fresh, ns=(stamp, stamp + 10**9))
@@ -246,9 +253,9 @@ class TestCacheModule:
         assert cache.lookup(path, (1, 2), 2, 3) == prefill[0]
         for c in range(3, 19):
             rec = _record((2, c), 3)
-            assert cache.lookup(path, rec.coeffs, rec.k, rec.diameter) is None
+            assert cache.lookup(path, (2, c), 3, rec["diameter"]) is None
             cache.append_record(path, rec)
-            assert cache.lookup(path, rec.coeffs, rec.k, rec.diameter) == rec
+            assert cache.lookup(path, (2, c), 3, rec["diameter"]) == rec
         assert len(parsed) == 308
 
     @given(st.lists(_CHANGES, max_size=12))
@@ -298,7 +305,9 @@ class TestCacheModule:
                     mtime += 10**9
                     os.utime(path, ns=(mtime, mtime))
                 expected = {
-                    r.key: r for r in cache.load_records(path) if r.tool_version == __version__
+                    (tuple(r["coeffs"]), r["k"], r["diameter"]): r
+                    for r in cache.load_records(path)
+                    if r["tool_version"] == __version__
                 }
                 for coeffs, k in _KEYS:
                     key = (coeffs, k, sum(coeffs) * (k - 1))
@@ -319,9 +328,8 @@ class TestCacheModule:
             if rec is None:
                 rec = cache.record_from_result(res)
                 cache.append_record(path, rec)
-            fresh = _stamped(res, rec.timestamp)
-            fresh = type(fresh)(**{**fresh.__dict__, "tool_version": rec.tool_version})
-            assert rec == fresh
+            stamp = {"timestamp": rec["timestamp"], "tool_version": rec["tool_version"]}
+            assert rec == {**cache.record_from_result(res), **stamp}
 
 
 class TestCliNf:
@@ -713,14 +721,14 @@ class TestCliCache:
         assert minimizers[0][0] == "  minimizer {0,1,2,3} (list capped)"
         assert all(line.endswith("} (list capped)") for line in minimizers[0])
         (record,) = cache.load_records(path)
-        assert len(record.witnesses) == 530
+        assert len(record["witnesses"]) == 530
 
         json_path = str(tmp_path / "j.jsonl")
         answers = [run(capsys, *args, "--json")]
         answers += [run(capsys, *args, "--json", "--cache", json_path) for _ in range(2)]
         witnesses = [json.loads(out)["witnesses"] for _, out, _ in answers]
         assert witnesses[0] == witnesses[1] == witnesses[2]
-        assert witnesses[0] == [list(w) for w in record.witnesses[:64]]
+        assert witnesses[0] == record["witnesses"][:64]
 
     def test_hit_refuses_a_negative_budget(self, tmp_path, capsys):
         path = str(tmp_path / "c.jsonl")
@@ -733,12 +741,30 @@ class TestCliCache:
     def test_hit_refuses_k0(self, tmp_path, capsys):
         # A hand-written record under the key a --k 0 request would look up.
         path = tmp_path / "c.jsonl"
-        rec = dataclasses.replace(_record((1, 3), 1), k=0, diameter=-4, witnesses=((),))
+        rec = {**_record((1, 3), 1), "k": 0, "diameter": -4, "witnesses": [[]]}
         cache.append_record(path, rec)
         assert cache.lookup(path, (1, 3), 0, -4) == rec
         code, out, err = run(capsys, "nf", "--coeffs", "1,3", "--k", "0", "--cache", str(path))
         assert (code, out) == (2, "")
         assert err == "error: need k >= 1, got 0\n"
+
+    def test_benchmark_prefill_is_served(self, tmp_path, capsys):
+        # The benchmark pre-fills its cache with bench/workloads.py
+        # prefill_lines, loaded here from its file; each line must be a hit.
+        spec = importlib.util.spec_from_file_location(
+            "_bench_workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        )
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        prefill = workloads.cached_plan(tiny=True)[1][:2]
+        answers = workloads.load_reference("nf-cached")["answers"]
+        path = tmp_path / "c.jsonl"
+        path.write_text(workloads.prefill_lines(prefill, answers), encoding="utf-8")
+        before = path.read_bytes()
+        for op, line in zip(prefill, before.decode("utf-8").splitlines(keepends=True)):
+            code, out, err = run(capsys, *workloads.cli_args(op, str(path)))
+            assert (code, out, err) == (0, line, "")
+        assert path.read_bytes() == before
 
     def test_different_diameter_misses(self, tmp_path, capsys):
         path = str(tmp_path / "c.jsonl")
@@ -747,6 +773,29 @@ class TestCliCache:
             capsys, "nf", "--coeffs", "1,3", "--k", "3", "--diameter", "9", "--cache", path
         )
         assert code == 0 and "computed" in out
+
+
+class TestCliClosedStdout:
+    @pytest.mark.parametrize(
+        "argv",
+        [("verify",), ("scan", "--max-m", "2", "--max-coeff", "8", "--max-k", "3")],
+        ids=["verify", "scan"],
+    )
+    def test_exit_141(self, argv):
+        # The reader closes stdout before reading. The scan prints about
+        # 16 kB, more than stdout buffers, so it meets the closed pipe
+        # before its summary line on stderr.
+        env = {**os.environ, "PYTHONPATH": str(Path(linforms.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "linforms.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert (proc.wait(), err) == (141, b"")
 
 
 class TestRoundTrip:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import gc
 import inspect
 import itertools
 import math
@@ -432,6 +433,34 @@ class TestSearchMin:
                 return exc.nodes
 
         assert run(engine._explore_general, (u1, u2)) == run(engine._explore_binary, u1, u2)
+
+    def test_searches_leave_no_reference_cycles(self):
+        # Each kernel's nested rec refers to itself; the kernel breaks that
+        # cycle on return or on a budget stop, so the collector finds nothing.
+        def stop(coeffs, k, budget):
+            try:
+                search_min(LinearForm(coeffs), k, 12, node_budget=budget)
+            except BudgetExceeded:
+                pass
+
+        runs = [
+            lambda: search_min(LinearForm((1, 3)), 5, 12),
+            lambda: search_min(LinearForm((1, 2, 3)), 4, 12),
+            lambda: stop((1, 3), 5, 500),
+            lambda: stop((1, 2, 3), 4, 5),
+        ]
+        for run in runs:
+            run()  # warm-up
+        gc.collect()
+        gc.disable()
+        collected = []
+        try:
+            for run in runs:
+                run()
+                collected.append(gc.collect())
+        finally:
+            gc.enable()
+        assert collected == [0, 0, 0, 0]
 
     def test_repeated_runs_identical(self):
         runs = []
