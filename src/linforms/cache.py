@@ -71,12 +71,15 @@ def _checked(name: str, value, kind):
     return value
 
 
-def record_from_json(obj: dict) -> dict:
+def record_from_json(obj: object) -> dict:
     """Parse one cache line; raises on shape violations (caller skips).
 
-    The record holds the fields of _FIELDS in file order, taken as they
-    are, never coerced; any other key is dropped.
+    The line must be a JSON object.  The record holds the fields of
+    _FIELDS in file order, taken as they are, never coerced; any other
+    key is dropped.
     """
+    if not isinstance(obj, dict):
+        raise ValueError("cache record is not a JSON object")
     if not all(name in obj for name in _FIELDS):
         raise ValueError(f"cache record missing fields: {sorted(set(_FIELDS) - set(obj))}")
     return {name: _checked(name, obj[name], kind) for name, kind in _FIELDS.items()}

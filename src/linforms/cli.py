@@ -251,11 +251,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        code = args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --help, or a usage error
+            code = int(exc.code or 0)
+        else:
+            code = args.func(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -43,6 +43,13 @@ and the full image (_explore_general).  In both kernels the last
 element has a loop of its own.  Each frame's whole candidate range
 counts as nodes, once.
 
+Spectra (explorer.spectrum) walk the same sets with no bound and no
+budget (_census_general): every set of gcd 1 whose first gap is at most
+its last gap, one with equal end gaps kept unless its mirror image is
+lexicographically smaller, each image nf2 - 1 shift-ORs from the masks
+its parent kept.  Where that costs more than rebuilding each image by
+the dilate chain, spectra keep the chain (explorer._census_pays).
+
 When the certified lower bound meets the searched minimum the value is
 exact; otherwise the honest answer is the bracket [lower, best].
 
@@ -589,6 +596,70 @@ def _explore_general(
     return best, wits, nodes
 
 
+def _census_general(coeffs: tuple[int, ...], k: int, diameter: int) -> dict[int, int]:
+    """Image size -> number of canonical k-sets (k >= 2) within diameter, one per mirror pair.
+
+    The same walk as _explore_general, with no bound and no budget: every
+    set whose first gap is at most its last gap (_root_frame,
+    _child_bounds) is visited, and one of gcd above 1 is skipped by the
+    running gcd.  A frame that has children copies its table of masks
+    M_T (_frame_layout) into each child and extends it by
+    M_T(A + {e}) = M_T(A) | OR over distinct v in T of M_{T - v}(A + {e}) << v*e,
+    coeffs itself included.  A frame of last elements ORs its table into
+    one group per subset sum once, and each of its sets' images is then
+    nf2 - 1 shift-ORs in Horner order.  Of a frame of last elements only
+    the first candidate, e = max A + a_1, has equal end gaps; it is
+    dropped when its mirror image is lexicographically smaller, so a
+    mirror pair is counted once and a symmetric set once.
+    """
+    gcd = math.gcd
+    steps, horner = _frame_layout(coeffs)
+    flat = [(i, j, v) for i in range(1, len(steps)) for j, v in steps[i]]
+    # No image has more values than its span or than the mass vectors.
+    most = min(
+        sum(coeffs) * diameter + 1,
+        math.prod(math.comb(coeffs.count(v) + k - 1, k - 1) for v in set(coeffs)),
+    )
+    counts = [0] * (most + 1)
+
+    def rec(elems: tuple[int, ...], g: int, table: list[int], t: int, cands: range) -> None:
+        if t == 1:
+            if len(elems) > 1 and cands:
+                first = elems + (cands[0],)
+                if tuple(first[-1] - x for x in reversed(first)) < first:
+                    cands = cands[1:]  # its mirror image is counted instead
+            groups = []
+            for d, members in horner:
+                G = 0
+                for i in members:
+                    G |= table[i]
+                groups.append((d, G))
+            for e in cands:
+                if g != 1 and gcd(g, e) != 1:
+                    continue
+                M = 1
+                for d, G in groups:
+                    M = (M << d * e) | G
+                counts[M.bit_count()] += 1
+            return
+        root = len(elems) == 1
+        if not root:
+            step, stop = _child_bounds(elems[1], t, diameter)
+        for e in cands:
+            if root:
+                step, stop = _child_bounds(e, t, diameter)
+            child = table.copy()
+            for i, j, v in flat:
+                child[i] |= child[j] << v * e
+            rec(elems + (e,), g if g == 1 else gcd(g, e), child, t - 1, range(e + step, stop))
+
+    try:
+        rec((0,), 0, [1] * len(steps), k - 1, _root_frame(k, diameter, None)[0])
+    finally:
+        del rec  # its closure cell holds rec itself: free the cycle now
+    return {size: n for size, n in enumerate(counts) if n}
+
+
 def _frame_layout(
     coeffs: tuple[int, ...],
 ) -> tuple[list[tuple[tuple[int, int], ...]], list[tuple[int, list[int]]]]:
@@ -661,10 +732,7 @@ def _search_bits(f: LinearForm, k: int, diameter: int) -> int:
     diameter, 2F); the constants
     ones and high take F each, and the one frame filtering at a time
     shifts N and adds to it (2F) to get its hits (F).  That is 5k * F
-    bits.  The general kernel keeps a frame per set size below k
-    (_frame_bits): the root {0}, whose masks are all {0}, and k - 2
-    frames of sets within the diameter; the last level adds one image at
-    a time.
+    bits.  The general kernel keeps what _general_bits counts.
     """
     image_bits = f.u_total * diameter + 1
     if k == 1:
@@ -672,7 +740,17 @@ def _search_bits(f: LinearForm, k: int, diameter: int) -> int:
     if f.m == 2:
         fields = _filter_width(k) * (diameter + 1)
         return 3 + (k - 1) * (2 * image_bits + 1) + 5 * k * fields
-    return _frame_bits(f, 0) + (k - 2) * _frame_bits(f, diameter) + image_bits
+    return _general_bits(f, k, diameter)
+
+
+def _general_bits(f: LinearForm, k: int, diameter: int) -> int:
+    """Bits of the masks _explore_general (or _census_general) keeps for k-sets, k >= 2.
+
+    A frame per set size below k (_frame_bits): the root {0}, whose masks
+    are all {0}, and k - 2 frames of sets within the diameter; the last
+    level adds one image at a time.
+    """
+    return _frame_bits(f, 0) + (k - 2) * _frame_bits(f, diameter) + f.u_total * diameter + 1
 
 
 def clear_search_memo() -> None:

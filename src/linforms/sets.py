@@ -17,7 +17,8 @@ the mass (composition) vectors s.  On a geometric set {1, g, ...,
 g^(k-1)} with g > u_total the base-g digits of a value are its mass
 vector, so the same chain lists the vectors, and the image of such a
 set is as large as an image can be.  The chain's bitmask form
-(image_mask) serves size-only queries on non-negative sets.
+(image_mask) serves size-only queries on non-negative sets, where
+rebuilding each image is cheaper than extending a parent's masks.
 """
 
 from __future__ import annotations
@@ -213,9 +214,10 @@ def image_mask(f: LinearForm, elems: Sequence[int]) -> int:
     """Bitmask of f(A) for a non-negative argument set (size-only queries).
 
     Bit n is set exactly when n is in f(A).  Runs the dilate chain
-    M_i = { v + u_i * a } in m*k big-integer shifts; spectrum censuses
-    use it where only |f(A)| matters.  The search kernels do not: they
-    extend the masks of a set's parent instead of rebuilding them.
+    M_i = { v + u_i * a } in m*k big-integer shifts; spectrum's chain
+    loop uses it where that is cheaper than extending masks
+    (explorer._census_pays).  The search kernels and the spectrum
+    census extend the masks of a set's parent instead.
     """
     if elems and min(elems) < 0:
         raise ValueOverflow("bitmask images need non-negative elements")

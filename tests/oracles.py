@@ -61,6 +61,14 @@ def reflection_reps(sets) -> list[tuple[int, ...]]:
     return sorted(reps)
 
 
+def oracle_census(coeffs, k: int, diameter: int) -> tuple[tuple[int, int], ...]:
+    """(image size, sets) pairs over canonical k-sets within diameter, one per mirror pair."""
+    sizes = collections.Counter(
+        oracle_image_size(coeffs, elems) for elems in reflection_reps(canonical_ksets(k, diameter))
+    )
+    return tuple(sorted(sizes.items()))
+
+
 def oracle_min(coeffs, k: int, diameter: int):
     """(best, witnesses) by exhaustive enumeration; witnesses deduped by reflection."""
     best = None

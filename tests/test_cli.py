@@ -131,6 +131,21 @@ class TestCacheModule:
         assert warnings.count("skipping corrupt cache line") == 2
 
     @pytest.mark.parametrize(
+        "raw",
+        ["[[1]]", "5", json.dumps(" ".join(cache._FIELDS)), "[1, 2]"],
+        ids=["nested-list", "number", "string-of-field-names", "list"],
+    )
+    def test_non_object_line_skipped(self, tmp_path, capsys, raw):
+        path = tmp_path / "c.jsonl"
+        res = compute_nf(LinearForm((1, 3)), 3)
+        rec = {**cache.record_from_result(res), "timestamp": "t"}
+        path.write_text(json.dumps(rec) + "\n" + raw + "\n", encoding="utf-8")
+        assert cache.load_records(path) == [rec]
+        assert capsys.readouterr().err == (
+            f"warning: {path}:2: skipping corrupt cache line (cache record is not a JSON object)\n"
+        )
+
+    @pytest.mark.parametrize(
         "field, raw",
         [
             ("k", "1e400"),
@@ -786,6 +801,23 @@ class TestCliClosedStdout:
         # 16 kB, more than stdout buffers, so it meets the closed pipe
         # before its summary line on stderr.
         env = {**os.environ, "PYTHONPATH": str(Path(linforms.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "linforms.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert (proc.wait(), err) == (141, b"")
+
+    @pytest.mark.parametrize("argv", [("--help",), ("nf", "--help")], ids=["help", "nf-help"])
+    def test_help_exit_141(self, argv):
+        # Help text waits in stdout's buffer for main's flush, which meets
+        # the closed pipe.  (Unbuffered, argparse drops the failed write.)
+        env = {**os.environ, "PYTHONPATH": str(Path(linforms.__file__).parents[1])}
+        env.pop("PYTHONUNBUFFERED", None)
         proc = subprocess.Popen(
             [sys.executable, "-m", "linforms.cli", *argv],
             stdout=subprocess.PIPE,

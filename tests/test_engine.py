@@ -435,8 +435,9 @@ class TestSearchMin:
         assert run(engine._explore_general, (u1, u2)) == run(engine._explore_binary, u1, u2)
 
     def test_searches_leave_no_reference_cycles(self):
-        # Each kernel's nested rec refers to itself; the kernel breaks that
-        # cycle on return or on a budget stop, so the collector finds nothing.
+        # Each kernel's nested rec refers to itself, as does the spectrum
+        # census's; each breaks that cycle on return or on a budget stop,
+        # so the collector finds nothing.
         def stop(coeffs, k, budget):
             try:
                 search_min(LinearForm(coeffs), k, 12, node_budget=budget)
@@ -448,6 +449,8 @@ class TestSearchMin:
             lambda: search_min(LinearForm((1, 2, 3)), 4, 12),
             lambda: stop((1, 3), 5, 500),
             lambda: stop((1, 2, 3), 4, 5),
+            lambda: explorer.spectrum(LinearForm((1, 3)), 5),  # the census loop
+            lambda: explorer.spectrum(LinearForm((1, 2, 3)), 4, 12),
         ]
         for run in runs:
             run()  # warm-up
@@ -460,7 +463,7 @@ class TestSearchMin:
                 collected.append(gc.collect())
         finally:
             gc.enable()
-        assert collected == [0, 0, 0, 0]
+        assert collected == [0] * len(runs)
 
     def test_repeated_runs_identical(self):
         runs = []

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 from types import SimpleNamespace
 
 import pytest
 
-from oracles import canonical_ksets, oracle_image_size, reflection_reps
-from linforms import explorer
+from oracles import canonical_ksets, oracle_census, reflection_reps
+from linforms import engine, explorer
 from linforms.engine import compute_nf
 from linforms.errors import BudgetExceeded, DiameterTooSmall, InputError
 from linforms.explorer import (
@@ -51,10 +52,62 @@ class TestSpectrum:
     def test_census_against_oracle(self):
         f = LinearForm((2, 3))
         rep = spectrum(f, 3, diameter=7)
-        classes = reflection_reps(canonical_ksets(3, 7))
-        assert sum(c for _, c in rep.census) == len(classes)
-        sizes = [oracle_image_size(f.coeffs, elems) for elems in classes]
-        assert rep.census == tuple(sorted((v, sizes.count(v)) for v in set(sizes)))
+        assert sum(c for _, c in rep.census) == len(reflection_reps(canonical_ksets(3, 7)))
+        assert rep.census == oracle_census(f.coeffs, 3, 7)
+
+    @staticmethod
+    def censuses(monkeypatch, cases) -> list[bool]:
+        """Check each (coeffs, k, diameter)'s census with the oracle; whether the census loop ran."""
+        ran = []
+
+        def counted(*args):
+            ran[-1] = True
+            return engine._census_general(*args)
+
+        monkeypatch.setattr(explorer, "_census_general", counted)
+        for coeffs, k, diameter in cases:
+            ran.append(False)
+            rep = spectrum(LinearForm(coeffs), k, diameter)
+            assert rep.census == oracle_census(coeffs, k, rep.diameter), (coeffs, k, diameter)
+        return ran
+
+    def test_census_matches_oracle_on_small_forms(self, monkeypatch):
+        # Every normalized form of m <= 3 and coefficients <= 4 at k = 1..5,
+        # at the default diameter where the oracle's k^m tuples per set stay
+        # few, and at two explicit ones.  Run once more with the census for
+        # every k >= 2, so tiny sets, with equal end gaps and with gcd > 1,
+        # reach it too.
+        cases = [
+            (f.coeffs, k, d)
+            for m in (1, 2, 3)
+            for f in enumerate_normalized(m, 4)
+            for k in range(1, 6)
+            for d in (None, k, 2 * k + 2)
+            if d is not None or math.comb(f.u_total * (k - 1), k - 1) * k**m <= 100_000
+        ]
+        shipped = self.censuses(monkeypatch, cases)
+        monkeypatch.setattr(explorer, "_census_pays", lambda *args: True)
+        everywhere = self.censuses(monkeypatch, cases)
+        assert 0 < sum(shipped) < sum(everywhere) == sum(k > 1 for _, k, _ in cases)
+
+    def test_census_matches_oracle_on_both_sides_of_the_rule(self, monkeypatch):
+        # The chain loop keeps (1,2) at k = 3 (15 candidate sets) and at
+        # k = 2; (1,2,4,8,16), with too many subset sums for the census;
+        # and (1,2,4,8), with too large a table for frames of few sets at
+        # D = 13.  (1,3,9,27) at k = 3 takes the census.
+        cases = [
+            ((1, 2), 3, None),
+            ((1, 2), 2, 300),
+            ((1, 2, 4, 8, 16), 3, None),
+            ((1, 2, 4, 8), 4, 13),
+            ((1, 3, 9, 27), 3, None),
+        ]
+        assert self.censuses(monkeypatch, cases) == [False, False, False, False, True]
+        monkeypatch.setattr(explorer, "SEARCH_BITS_CAP", 0)  # masks past the cap keep the chain
+        assert self.censuses(monkeypatch, cases[-1:]) == [False]
+
+    def test_census_matches_oracle_with_a_repeated_coefficient(self, monkeypatch):
+        assert self.censuses(monkeypatch, [((1, 1, 2), 5, None), ((1, 1, 2), 4, 20)]) == [True, True]
 
     def test_k1(self):
         rep = spectrum(LinearForm((1, 2)), 1)
