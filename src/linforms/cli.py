@@ -92,8 +92,9 @@ def cmd_mf(args: argparse.Namespace) -> int:
         print(json.dumps(out))
     else:
         print(
-            f"coeffs {f}  k={args.k}: max distinct values = {res.value}, "
-            f"witnessed by {_fmt_set(res.witness)} (base {res.base}, verified)"
+            f"coeffs {f}  k={args.k}: max distinct values = {res.value} "
+            f"(mass vectors, counted by orbits), attained by {_fmt_set(res.witness)} "
+            f"(base {res.base})"
         )
     return 0
 

@@ -55,7 +55,11 @@ exact; otherwise the honest answer is the bracket [lower, best].
 
 The maximum image size needs no search: no k-set has more values than
 there are coefficient-mass vectors, and a geometric set G with a base
-above every digit has one value per vector, so the maximum is |f(G)|.
+above every digit has one value per vector, so the maximum is the
+number of vectors, with G its witness.  Permuting the elements maps
+vectors to vectors, so they are counted by orbits: one per sorted tuple
+of block sums of a partition of the coefficients into at most k blocks,
+with neither f(G) nor the vectors listed (compute_mf).
 """
 
 from __future__ import annotations
@@ -76,12 +80,21 @@ from .errors import (
     ValueOverflow,
 )
 from .forms import LinearForm, subset_sums
-from .sets import KSet, checked_elems, image
-from .sets import composition_vectors  # noqa: F401  (only bench/test_smoke.py binds it)
+from .sets import KSet, _check_image_bytes, checked_elems
+from .sets import composition_vectors, image  # noqa: F401  (only bench/test_smoke.py binds them)
 
 #: The masks one search keeps may span at most this many bits in total
 #: (_search_bits), checked before the search starts.
 SEARCH_BITS_CAP = 10**7
+
+#: The witnesses one search keeps may take at most this many bytes
+#: (_witness_bytes), checked each time the list grows.
+WITNESS_BYTES_CAP = 2**26
+
+# Bytes per witness beyond its elements' slots, above the largest
+# tracemalloc peak per witness measured, 148 B (CHANGES.md): its list
+# slot, its tuple, its mirror image's, its KSet and the dedup set's slot.
+_WITNESS_BYTES = 160
 
 #: compute_nf keeps at most this many results in memory; the oldest goes first.
 SEARCH_MEMO_ENTRIES = 4096
@@ -163,6 +176,24 @@ def _check_diameter(k: int, diameter: int | None) -> None:
 def _budget_exceeded(budget: int) -> BudgetExceeded:
     """The refusal of a search that counts node budget + 1."""
     return BudgetExceeded(f"node budget {budget} exhausted ({budget + 1} nodes)", nodes=budget + 1)
+
+
+def _witness_bytes(k: int, diameter: int) -> int:
+    """Bytes one witness k-set within diameter may take, raw and as a result.
+
+    _WITNESS_BYTES, 16 per element for the slots of its tuple and its
+    mirror image's, and 28 per element for int objects of their own once
+    elements pass 256, the largest int CPython shares.
+    """
+    return _WITNESS_BYTES + 16 * k + (28 * k if diameter > 256 else 0)
+
+
+def _witnesses_exceeded(n: int, k: int, diameter: int) -> CapacityExceeded:
+    """The refusal of a search whose witness list grew to n sets."""
+    return CapacityExceeded(
+        f"{n} witnesses of {k} elements would need {n * _witness_bytes(k, diameter)} bytes "
+        f"(cap {WITNESS_BYTES_CAP})"
+    )
 
 
 def _root_frame(k: int, diameter: int, budget: int | None) -> tuple[range, int]:
@@ -340,6 +371,7 @@ def _explore_binary(
     ones = ((1 << width * (diameter + 1)) - 1) // ((1 << width) - 1)
     high = ones << (width - 1)
     pshift, qstep, kinds = _collision_tables(p, q, width, diameter)
+    most = WITNESS_BYTES_CAP // _witness_bytes(k, diameter)  # witnesses kept
 
     def rec(
         elems: tuple[int, ...],
@@ -368,6 +400,8 @@ def _explore_binary(
                     wits = [elems + (e,)]
                 elif size_e == best:
                     wits.append(elems + (e,))
+                    if len(wits) > most:
+                        raise _witnesses_exceeded(len(wits), k, diameter)
             return
         cbt = cb[t - 1]
         grow = fresh * (len(elems) + 1) + 1 + cb[t - 2]  # a child's new terms and completion bound
@@ -504,6 +538,7 @@ def _explore_general(
     full = len(steps) - 1
     flat = [(i, j, v) for i in range(1, full) for j, v in steps[i]]
     groups = len(horner)
+    most = WITNESS_BYTES_CAP // _witness_bytes(k, diameter)  # witnesses kept
 
     def split(h: int) -> tuple[list, list[int], list, int]:
         # A level's head: the members of its h + 1 groups (the h largest
@@ -559,6 +594,8 @@ def _explore_general(
                     wits = [elems + (e,)]
                 elif size_e == best:
                     wits.append(elems + (e,))
+                    if len(wits) > most:
+                        raise _witnesses_exceeded(len(wits), k, diameter)
             return
         head = [group(table, members) for members in inner_head]
         top, G1, G2, G3 = head
@@ -802,8 +839,12 @@ def search_min(
 
     node_budget caps the nodes explored, the root {0} included: the
     search raises BudgetExceeded on node node_budget + 1, so a budget of
-    0 always stops; a negative budget is an InputError.  Every call
-    searches: only compute_nf remembers results.
+    0 always stops; a negative budget is an InputError.  The witness
+    list is capped at WITNESS_BYTES_CAP bytes (_witness_bytes): the
+    kernel raises CapacityExceeded as soon as the list of the best value
+    so far outgrows it, even if a lower value found later would have
+    replaced that list.  Every call searches: only compute_nf remembers
+    results.
     """
     _check_search(f, k, diameter, node_budget)
     cert = lower_certificate(f, k)
@@ -836,7 +877,8 @@ def compute_nf(
     search_min over diameter (None means u_total * (k - 1)), which alone
     draws on node_budget (None is unlimited).  The search's argument
     checks and caps refuse before anything is looked up or built.
-    The result keeps every minimizer the search found.
+    The result keeps every minimizer the search found; a search whose
+    witness list outgrows WITNESS_BYTES_CAP is refused and stores nothing.
 
     Completed runs are remembered per process, up to SEARCH_MEMO_ENTRIES
     results keyed by (coeffs, k, diameter), all that changes the
@@ -876,12 +918,37 @@ def compute_nf(
 
 
 def compute_mf(f: LinearForm, k: int) -> MaxResult:
-    """Exact k-set maximum of |f(A)|, measured on its geometric witness.
+    """Exact k-set maximum of |f(A)|, counted by orbits of mass vectors.
 
     A value is determined by the coefficient mass on each element, so no
     k-set beats the number of mass vectors; G = {g^0, ..., g^{k-1}} with
     g = m * u_m + 1 reaches it, as every base-g digit of a value of f(G)
-    is one element's mass, at most u_total < g.  The value is |f(G)|.
+    is one element's mass, at most u_total < g.  So the maximum is the
+    number of mass vectors, and G is its witness; neither f(G) nor the
+    vectors are listed.
+
+    The vectors are counted by orbits (_count_mass_vectors).  Permuting
+    the k elements permutes the slots of every vector and maps the set of
+    vectors onto itself, so that set is a union of orbits.  An orbit is
+    fixed by the sorted tuple of its vectors' nonzero slots: the block
+    sums of one partition of the coefficients into r <= k blocks, a block
+    being the variables placed on one element.  The orbit places those r
+    sums on r of the k slots, k! / ((k - r)! * prod mult!) ways, with mult
+    running over the multiplicities of equal sums.  The tuples come from
+    one pass over the coefficients.  From the empty tuple, each
+    coefficient u either opens a block of its own, when fewer than k are
+    open, or adds to one open block's sum, once per distinct sum, as
+    equal sums give the same tuple.  A later coefficient sees only the
+    sorted sums, so the tuples after the last coefficient are those of
+    every partition, each once, and their orbit sizes add up to the
+    number of vectors.
+
+    Refusals come before any counting, in the order: k >= 64, then
+    checked_elems on G (ValueOverflow), then sets._check_image_bytes on
+    G (CapacityExceeded), which caps the values f(G) holds.  A tuple is
+    the orbit of some mass vectors of a prefix of the coefficients, and a
+    prefix has no more vectors than the whole form, so the tuples kept
+    never outnumber the values that check counts.
     """
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
@@ -891,7 +958,31 @@ def compute_mf(f: LinearForm, k: int) -> MaxResult:
             f"|f| can reach a value of {k} or more bits, beyond signed 64-bit range"
         )
     witness = checked_elems(f, (g**i for i in range(k)))
-    return MaxResult(value=len(image(f, witness)), witness=witness, base=g)
+    _check_image_bytes(f, witness)
+    return MaxResult(value=_count_mass_vectors(f.coeffs, k), witness=witness, base=g)
+
+
+def _count_mass_vectors(coeffs: tuple[int, ...], k: int) -> int:
+    """The number of mass vectors of coeffs over k elements, by orbits (compute_mf).
+
+    orbits holds the sorted nonzero block sums of every partition of the
+    coefficients seen so far into at most k blocks.
+    """
+    orbits: set[tuple[int, ...]] = {()}
+    for u in coeffs:
+        grown = set()
+        for sums in orbits:
+            if len(sums) < k:
+                grown.add(tuple(sorted(sums + (u,))))
+            for v in set(sums):
+                i = sums.index(v)
+                grown.add(tuple(sorted(sums[:i] + (v + u,) + sums[i + 1 :])))
+        orbits = grown
+    return sum(
+        math.perm(k, len(sums))
+        // math.prod(math.factorial(len(list(run))) for _, run in itertools.groupby(sums))
+        for sums in orbits
+    )
 
 
 def enumerate_minimizers(f: LinearForm, k: int, diameter: int | None = None) -> tuple[KSet, ...]:

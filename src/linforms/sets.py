@@ -15,10 +15,12 @@ a in A }.  An argument tuple only matters through how much coefficient
 mass lands on each element of A, so f(A) = { sum_t s_t * A_t } over
 the mass (composition) vectors s.  On a geometric set {1, g, ...,
 g^(k-1)} with g > u_total the base-g digits of a value are its mass
-vector, so the same chain lists the vectors, and the image of such a
-set is as large as an image can be.  The chain's bitmask form
-(image_mask) serves size-only queries on non-negative sets, where
-rebuilding each image is cheaper than extending a parent's masks.
+vector, so the image of such a set is as large as an image can be.
+composition_vectors reads the vectors off that image; the maximum
+counts them by orbits and lists neither (engine.compute_mf).  The
+chain's bitmask form (image_mask) serves size-only queries on
+non-negative sets, where rebuilding each image is cheaper than
+extending a parent's masks.
 """
 
 from __future__ import annotations

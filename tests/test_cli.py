@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from oracles import random_form_coeffs
 import linforms
-from linforms import __version__, cache
+from linforms import __version__, cache, engine
 from linforms.cli import main
 from linforms.engine import compute_nf
 from linforms.forms import LinearForm, enumerate_normalized
@@ -382,6 +382,19 @@ class TestCliNf:
         assert code == 3
         assert "budget" in err
 
+    def test_witness_cap_exit_3_writes_no_cache_line(self, capsys, tmp_path, monkeypatch):
+        # Every 3-set within diameter 8 minimizes (1): 11 raw witnesses,
+        # over a cap patched down to 10, so nothing reaches the cache.
+        per = engine._witness_bytes(3, 8)
+        monkeypatch.setattr(engine, "WITNESS_BYTES_CAP", 10 * per)
+        path = tmp_path / "c.jsonl"
+        argv = ("nf", "--coeffs", "1", "--k", "3", "--diameter", "8", "--cache", str(path))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        need = f"11 witnesses of 3 elements would need {11 * per} bytes (cap {10 * per})"
+        assert err == f"error: {need}\n"
+        assert not path.exists()
+
     def test_negative_budget_exit_2(self, capsys):
         code, out, err = run(capsys, "nf", "--coeffs", "1,3", "--k", "4", "--budget-nodes", "-1")
         assert (code, out) == (2, "")
@@ -420,9 +433,14 @@ class TestCliNf:
 
 class TestCliMf:
     def test_human(self, capsys):
+        # The value is a count of mass vectors; the line claims no image
+        # of the witness was measured.
         code, out, _ = run(capsys, "mf", "--coeffs", "1,2,4", "--k", "3")
         assert code == 0
-        assert "max distinct values = 27" in out
+        assert out == (
+            "coeffs (1,2,4)  k=3: max distinct values = 27 (mass vectors, counted by orbits), "
+            "attained by {1,13,169} (base 13)\n"
+        )
 
     def test_all_ones(self, capsys):
         code, out, _ = run(capsys, "mf", "--coeffs", "1,1", "--k", "4")

@@ -16,12 +16,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import (
+    canonical_ksets,
     collision_events,
     oracle_dfs,
     oracle_image,
     oracle_image_size,
     oracle_mass_vectors,
     oracle_min,
+    reflection_reps,
 )
 import linforms
 from linforms import engine, explorer, sets, theory
@@ -1076,27 +1078,96 @@ class TestComputeMf:
                 compute_mf(LinearForm((1, 2)), k)
 
     def test_never_enumerates_vectors(self, monkeypatch):
-        # The maximum is measured on the witness; no vector list is built.
+        # The maximum counts orbits of mass vectors; neither the vectors
+        # nor the image of the witness is built.
         monkeypatch.setattr(sets, "composition_vectors", None)
         monkeypatch.setattr(engine, "composition_vectors", None)
+        monkeypatch.setattr(engine, "image", None)
+        monkeypatch.setattr(sets, "_dilate_chain", None)
         for coeffs, k in [((1, 2), 5), ((1, 2, 3), 4), ((1, 1, 2, 3), 3)]:
             assert compute_mf(LinearForm(coeffs), k).value == len(
                 oracle_mass_vectors(coeffs, k)
             )
 
     @given(
-        st.lists(st.integers(1, 7), min_size=1, max_size=4).map(normalize_form),
-        st.integers(min_value=1, max_value=5),
+        st.lists(st.integers(1, 7), min_size=1, max_size=5).map(normalize_form),
+        st.integers(min_value=1, max_value=6),
     )
+    @example(LinearForm((1, 1, 1, 1, 1)), 6)  # one orbit per partition of 5
+    @example(LinearForm((1, 1, 2, 2, 3)), 3)  # repeated coefficients, k < m
+    @example(LinearForm((2, 3, 3, 5, 7)), 2)  # k < m
+    @example(LinearForm((1, 2, 4, 5, 7)), 1)  # k = 1: one vector
+    @example(LinearForm((1, 2, 3, 4, 5)), 6)  # k > m
     def test_value_is_vector_count_and_witness_image(self, f, k):
+        # The orbit count against the vectors and the witness's image, both
+        # by definition.
         res = compute_mf(f, k)
         assert res.value == len(oracle_mass_vectors(f.coeffs, k))
         assert res.value == oracle_image_size(f.coeffs, res.witness)
+
+    def test_image_cap_refuses_before_counting(self, monkeypatch):
+        # The cap refuses what the image of the witness would, with the same
+        # message, before any orbit is counted.
+        f = LinearForm((1, 2, 3))
+        witness = compute_mf(f, 4).witness
+        monkeypatch.setattr(sets, "IMAGE_BYTES_CAP", 7935)
+        with pytest.raises(CapacityExceeded) as refused:
+            image(f, witness)
+        assert str(refused.value) == "64 values of 13 bits would need 7936 bytes (cap 7935)"
+        monkeypatch.setattr(engine, "_count_mass_vectors", None)  # counting would fail
+        with pytest.raises(CapacityExceeded) as again:
+            compute_mf(f, 4)
+        assert str(again.value) == str(refused.value)
 
     def test_six_distinct_coefficients_k10(self):
         res = compute_mf(LinearForm((1, 2, 3, 4, 5, 6)), 10)
         assert (res.value, res.base) == (720_190, 37)
         assert res.witness == tuple(37**i for i in range(10))
+
+
+class TestWitnessCap:
+    def test_refuses_the_smallest_diameter_over_the_cap(self, monkeypatch):
+        # Every k-set minimizes (1), and no set is pruned, so a search keeps
+        # one raw witness per canonical set whose first gap is at most its
+        # last gap.  With the cap patched down to n witnesses, the largest
+        # diameter under it answers in full and the next one is refused.
+        f, k, n = LinearForm((1,)), 4, 1000
+
+        def raw(diameter):
+            return [s for s in canonical_ksets(k, diameter) if s[1] <= s[-1] - s[-2]]
+
+        top = next(d for d in itertools.count(k - 1) if len(raw(d + 1)) > n)
+        per = engine._witness_bytes(k, top + 1)
+        assert per == engine._witness_bytes(k, top)
+        monkeypatch.setattr(engine, "WITNESS_BYTES_CAP", n * per)
+        res = compute_nf(f, k, diameter=top)
+        assert [w.elems for w in res.witnesses] == reflection_reps(raw(top))
+        with pytest.raises(CapacityExceeded) as refused:
+            compute_nf(f, k, diameter=top + 1)
+        assert str(refused.value) == (
+            f"{n + 1} witnesses of {k} elements would need {(n + 1) * per} bytes "
+            f"(cap {n * per})"
+        )
+        assert (f.coeffs, k, top + 1) not in engine._search_memo
+
+    def test_binary_kernel_checks_its_appends(self, monkeypatch):
+        # (1,3) at k = 3 has the minimizers {0,1,3} and {0,1,4}: room for
+        # two witnesses answers, and room for one refuses the second.
+        f, per = LinearForm((1, 3)), engine._witness_bytes(3, 20)
+        monkeypatch.setattr(engine, "WITNESS_BYTES_CAP", 2 * per)
+        assert [w.elems for w in search_min(f, 3, 20).witnesses] == [(0, 1, 3), (0, 1, 4)]
+        monkeypatch.setattr(engine, "WITNESS_BYTES_CAP", 2 * per - 1)
+        need = f"^2 witnesses of 3 elements would need {2 * per} bytes"
+        with pytest.raises(CapacityExceeded, match=need):
+            search_min(f, 3, 20)
+
+    def test_default_cap_on_the_form_1_at_k6(self):
+        # 2^26 bytes hold 262,144 witnesses of 6 elements: (1) keeps 75,661
+        # raw witnesses at D = 30 and is refused on the way to D = 40's.
+        f = LinearForm((1,))
+        assert len(compute_nf(f, 6, diameter=30).witnesses) == 70_022
+        with pytest.raises(CapacityExceeded, match="^262145 witnesses of 6 elements"):
+            compute_nf(f, 6, diameter=40)
 
 
 class TestEnumerateMinimizers:
