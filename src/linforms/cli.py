@@ -19,6 +19,7 @@ import sys
 from . import cache as cache_mod
 from . import explorer
 from .engine import _check_diameter, _check_search, compute_mf, compute_nf
+from .engine import _witness_limit, _witnesses_exceeded
 from .engine import enumerate_minimizers, search_diameter
 from .errors import InputError, ResourceError
 from .explorer import (
@@ -44,7 +45,8 @@ def _fmt_set(elems) -> str:
 def cmd_nf(args: argparse.Namespace) -> int:
     f = parse_coeffs(args.coeffs)
     diameter = search_diameter(f, args.k, args.diameter)
-    # A cached answer is refused whatever a fresh run refuses.
+    # A cached answer is refused whatever a fresh run refuses: the
+    # search's checks here, its witness cap on a hit (_witness_limit).
     _check_search(f, args.k, diameter, args.budget_nodes)
     options = dict(diameter=diameter, node_budget=args.budget_nodes)
 
@@ -56,6 +58,8 @@ def cmd_nf(args: argparse.Namespace) -> int:
                 rec = cache_mod.record_from_result(compute_nf(f, args.k, **options))
                 cache_mod.append_record(args.cache, rec)
                 source = "; computed"
+            elif len(rec["witnesses"]) > _witness_limit(args.k, diameter):
+                raise _witnesses_exceeded(args.k, diameter)
         except OSError as exc:
             raise InputError(f"cache file {args.cache}: {exc.strerror or exc}") from None
         out, lines = rec, []

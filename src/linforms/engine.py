@@ -20,13 +20,14 @@ same block argument run backwards: a partial set with image size v and
 t slots still open can only finish at v + cb(t) or more, where cb(t) is
 L(t + 1) - 1 from every base value (appending elements above the
 current maximum glues a (t+1)-block onto the partial set in a single
-shared value).  It also visits only one member of each mirror-image
+shared value).  It also reports only one member of each mirror-image
 pair: the reflection d - A of a set A with maximum d has the same
 diameter, gcd and image size (f(d - A) = u_total*d - f(A)), so only
-sets whose first gap is at most their last gap are searched.
-Pruning is strict, so the representative of every set achieving the
-final minimum survives; the pruned search returns the same best value
-and, up to reflection, the same witness set as naive enumeration.
+sets whose first gap is at most their last gap are searched, and of a
+pair with equal end gaps only the lexicographically smaller is reported
+(_drop_mirrored).  Pruning is strict, so the representative of every
+set achieving the final minimum survives; the pruned search returns the
+same best value and witnesses as naive enumeration, up to reflection.
 No node rebuilds its image: each extends masks its parent kept.  For
 two-variable forms that is 3 big-integer shift-ORs per candidate, and
 most candidates get none: a lost new value needs a coincidence along a
@@ -44,11 +45,10 @@ element has a loop of its own.  Each frame's whole candidate range
 counts as nodes, once.
 
 Spectra (explorer.spectrum) walk the same sets with no bound and no
-budget (_census_general): every set of gcd 1 whose first gap is at most
-its last gap, one with equal end gaps kept unless its mirror image is
-lexicographically smaller, each image nf2 - 1 shift-ORs from the masks
-its parent kept.  Where that costs more than rebuilding each image by
-the dilate chain, spectra keep the chain (explorer._census_pays).
+budget (_census_general): every set of gcd 1 the search would report,
+each image nf2 - 1 shift-ORs from the masks its parent kept.  Where that
+costs more than rebuilding each image by the dilate chain, spectra keep
+the chain (explorer._census_pays).
 
 When the certified lower bound meets the searched minimum the value is
 exact; otherwise the honest answer is the bracket [lower, best].
@@ -88,12 +88,12 @@ from .sets import composition_vectors, image  # noqa: F401  (only bench/test_smo
 SEARCH_BITS_CAP = 10**7
 
 #: The witnesses one search keeps may take at most this many bytes
-#: (_witness_bytes), checked each time the list grows.
+#: (_witness_limit), checked each time the list grows.
 WITNESS_BYTES_CAP = 2**26
 
 # Bytes per witness beyond its elements' slots, above the largest
-# tracemalloc peak per witness measured, 148 B (CHANGES.md): its list
-# slot, its tuple, its mirror image's, its KSet and the dedup set's slot.
+# tracemalloc peak per witness measured (CHANGES.md): its list slot, its
+# tuple and its KSet.
 _WITNESS_BYTES = 160
 
 #: compute_nf keeps at most this many results in memory; the oldest goes first.
@@ -179,17 +179,29 @@ def _budget_exceeded(budget: int) -> BudgetExceeded:
 
 
 def _witness_bytes(k: int, diameter: int) -> int:
-    """Bytes one witness k-set within diameter may take, raw and as a result.
+    """Bytes one witness k-set within diameter may take, in the list and as a result.
 
-    _WITNESS_BYTES, 16 per element for the slots of its tuple and its
-    mirror image's, and 28 per element for int objects of their own once
-    elements pass 256, the largest int CPython shares.
+    _WITNESS_BYTES, 16 per element, twice its tuple's slot, and 28 per
+    element for int objects of their own once elements pass 256, the
+    largest int CPython shares.
     """
     return _WITNESS_BYTES + 16 * k + (28 * k if diameter > 256 else 0)
 
 
-def _witnesses_exceeded(n: int, k: int, diameter: int) -> CapacityExceeded:
-    """The refusal of a search whose witness list grew to n sets."""
+def _witness_limit(k: int, diameter: int) -> int:
+    """The most witnesses of k elements within diameter that WITNESS_BYTES_CAP holds.
+
+    Both kernels refuse a search whose list outgrows it, and cli.cmd_nf
+    a cache hit whose record holds more.  A hit cannot see that the
+    kernel also refuses a run whose list outgrew it at an earlier,
+    higher best.
+    """
+    return WITNESS_BYTES_CAP // _witness_bytes(k, diameter)
+
+
+def _witnesses_exceeded(k: int, diameter: int) -> CapacityExceeded:
+    """The refusal of a search whose witness list grew one past _witness_limit."""
+    n = _witness_limit(k, diameter) + 1
     return CapacityExceeded(
         f"{n} witnesses of {k} elements would need {n * _witness_bytes(k, diameter)} bytes "
         f"(cap {WITNESS_BYTES_CAP})"
@@ -232,6 +244,32 @@ def _child_bounds(a1: int, t: int, diameter: int) -> tuple[int, int]:
     if t > 2:  # the child has t - 1 > 1 slots open
         return 1, diameter - a1 - t + 4
     return a1, diameter + 1
+
+
+def _drop_mirrored(elems: tuple[int, ...], cands: range | list[int]) -> range | list[int]:
+    """A last-element frame's candidates, less e = max A + a_1 if its set's mirror comes first.
+
+    Only that candidate gives equal end gaps (_child_bounds), and so a
+    mirror image the walk also meets, earlier or pruned at the same image
+    size: dropping the set changes no best value, pruning or node count.
+    Below 5 elements, equal end gaps make a set its own mirror image.
+    """
+    if len(elems) > 3 and cands and cands[0] - elems[-1] == elems[1]:
+        first = elems + (cands[0],)
+        if tuple(map(cands[0].__sub__, reversed(first))) < first:
+            return cands[1:]
+    return cands
+
+
+def _groups(table: list[int], layout: list[tuple[int, list[int]]]) -> list[tuple[int, int]]:
+    """(shift, OR of table[i] over members) for each (shift, members) of layout (_frame_layout)."""
+    groups = []
+    for d, members in layout:
+        G = 0
+        for i in members:
+            G |= table[i]
+        groups.append((d, G))
+    return groups
 
 
 def _collision_tables(
@@ -350,12 +388,12 @@ def _explore_binary(
     when K reaches thr > 0, up to 3 |A| more, one product and its hits.
 
     Only sets whose first gap is at most their last gap are visited
-    (_root_frame, _child_bounds): the other member of each mirror-image
-    pair has the same image size, and _reflection_reps reports the
-    visited one.
+    (_root_frame, _child_bounds), and a last-element frame drops a set
+    with equal end gaps whose mirror image comes first (_drop_mirrored):
+    each mirror-image pair is reported once.
 
     Returns the best value (the progression {0, ..., k-1} always fits),
-    its raw witnesses and the node count: the root {0} and every
+    its sorted witnesses and the node count: the root {0} and every
     candidate of every frame, each frame's range counted, and checked
     against the budget, once, just before the frame would start.
     Counting past budget raises BudgetExceeded on node budget + 1.
@@ -371,7 +409,7 @@ def _explore_binary(
     ones = ((1 << width * (diameter + 1)) - 1) // ((1 << width) - 1)
     high = ones << (width - 1)
     pshift, qstep, kinds = _collision_tables(p, q, width, diameter)
-    most = WITNESS_BYTES_CAP // _witness_bytes(k, diameter)  # witnesses kept
+    most = _witness_limit(k, diameter)
 
     def rec(
         elems: tuple[int, ...],
@@ -390,7 +428,7 @@ def _explore_binary(
         if t == 1:
             # The last element: no filter, and the record's own comparison
             # is the mask test, as no completion bound applies (cb[0] <= 0).
-            for e in cands:
+            for e in _drop_mirrored(elems, cands):
                 if g != 1 and gcd(g, e) != 1:
                     continue  # such a set is never recorded
                 sh1 = u1 * e
@@ -401,7 +439,7 @@ def _explore_binary(
                 elif size_e == best:
                     wits.append(elems + (e,))
                     if len(wits) > most:
-                        raise _witnesses_exceeded(len(wits), k, diameter)
+                        raise _witnesses_exceeded(k, diameter)
             return
         cbt = cb[t - 1]
         grow = fresh * (len(elems) + 1) + 1 + cb[t - 2]  # a child's new terms and completion bound
@@ -527,7 +565,7 @@ def _explore_general(
     does builds no tail.  Per candidate: h shift-ORs and a bit count;
     per candidate that passes, nf2 - 1 - h more and a second bit count.
 
-    Visits one member of each mirror-image pair, and returns and counts
+    Reports one member of each mirror-image pair, and returns and counts
     nodes against the budget, as _explore_binary does; a parent counts
     each child's range just before it enters the child.
     """
@@ -538,24 +576,18 @@ def _explore_general(
     full = len(steps) - 1
     flat = [(i, j, v) for i in range(1, full) for j, v in steps[i]]
     groups = len(horner)
-    most = WITNESS_BYTES_CAP // _witness_bytes(k, diameter)  # witnesses kept
+    most = _witness_limit(k, diameter)
 
     def split(h: int) -> tuple[list, list[int], list, int]:
-        # A level's head: the members of its h + 1 groups (the h largest
-        # sums below u_total, and u_total), padded in front with empty
-        # groups, and the h shifts between them; its tail: (shift,
+        # A level's head: (shift, members) of its h + 1 groups (the h
+        # largest sums below u_total, and u_total), padded in front with
+        # empty groups, and the h shifts between them; its tail: (shift,
         # members) of every other group; and the shift that joins the tail.
         cut = groups - 1 - min(h, groups - 1)
         pad = h - (groups - 1 - cut)
-        heads = [()] * pad + [members for _, members in horner[cut:]]
+        heads = [(0, ())] * pad + horner[cut:]
         shifts = [0] * pad + [d for d, _ in horner[cut + 1 :]]
         return heads, shifts, horner[:cut], sum(d for d, _ in horner[cut:])
-
-    def group(table: list[int], members: list[int]) -> int:
-        G = 0
-        for i in members:
-            G |= table[i]
-        return G
 
     # Head sizes h (inner levels, last level), by CPU time for the 17
     # three- and four-variable nf-deep forms at k = 5 against building
@@ -572,17 +604,17 @@ def _explore_general(
         if t == 1:
             # The last element: a set of gcd > 1 is never recorded, and
             # the record's own comparison is the exact test (cb[0] <= 0).
-            head = [group(table, members) for members in last_head]
-            top, G1 = head
+            head = _groups(table, last_head)
+            (_, top), (_, G1) = head
             rest = len(last_tail) + 1 + cb[0]  # a top per tail sum, and the completion bound
-            for e in cands:
+            for e in _drop_mirrored(elems, cands):
                 if g != 1 and gcd(g, e) != 1:
                     continue
                 Me = (top << d0 * e) | G1
                 if best is not None and Me.bit_count() + rest > best:
                     continue
                 if tail is None:
-                    tail = [(d, group(table, members)) for d, members in last_tail]
+                    tail = _groups(table, last_tail)
                 T = 1
                 for d, G in tail:
                     T = (T << d * e) | G
@@ -595,10 +627,10 @@ def _explore_general(
                 elif size_e == best:
                     wits.append(elems + (e,))
                     if len(wits) > most:
-                        raise _witnesses_exceeded(len(wits), k, diameter)
+                        raise _witnesses_exceeded(k, diameter)
             return
-        head = [group(table, members) for members in inner_head]
-        top, G1, G2, G3 = head
+        head = _groups(table, inner_head)
+        (_, top), (_, G1), (_, G2), (_, G3) = head
         cbt = cb[t - 1]
         rest = len(inner_tail) + 1 + cbt
         for e in cands:
@@ -606,7 +638,7 @@ def _explore_general(
             if best is not None and Me.bit_count() + rest > best:
                 continue
             if tail is None:
-                tail = [(d, group(table, members)) for d, members in inner_tail]
+                tail = _groups(table, inner_tail)
             T = 1
             for d, G in tail:
                 T = (T << d * e) | G
@@ -644,10 +676,9 @@ def _census_general(coeffs: tuple[int, ...], k: int, diameter: int) -> dict[int,
     M_T(A + {e}) = M_T(A) | OR over distinct v in T of M_{T - v}(A + {e}) << v*e,
     coeffs itself included.  A frame of last elements ORs its table into
     one group per subset sum once, and each of its sets' images is then
-    nf2 - 1 shift-ORs in Horner order.  Of a frame of last elements only
-    the first candidate, e = max A + a_1, has equal end gaps; it is
-    dropped when its mirror image is lexicographically smaller, so a
-    mirror pair is counted once and a symmetric set once.
+    nf2 - 1 shift-ORs in Horner order.  A frame of last elements drops a
+    set whose mirror image comes first (_drop_mirrored), so a mirror pair
+    is counted once and a symmetric set once, as the search reports them.
     """
     gcd = math.gcd
     steps, horner = _frame_layout(coeffs)
@@ -661,17 +692,8 @@ def _census_general(coeffs: tuple[int, ...], k: int, diameter: int) -> dict[int,
 
     def rec(elems: tuple[int, ...], g: int, table: list[int], t: int, cands: range) -> None:
         if t == 1:
-            if len(elems) > 1 and cands:
-                first = elems + (cands[0],)
-                if tuple(first[-1] - x for x in reversed(first)) < first:
-                    cands = cands[1:]  # its mirror image is counted instead
-            groups = []
-            for d, members in horner:
-                G = 0
-                for i in members:
-                    G |= table[i]
-                groups.append((d, G))
-            for e in cands:
+            groups = _groups(table, horner)
+            for e in _drop_mirrored(elems, cands):
                 if g != 1 and gcd(g, e) != 1:
                     continue
                 M = 1
@@ -745,16 +767,6 @@ def _frame_bits(f: LinearForm, width: int) -> int:
     return (table + nf2) * f.u_total * width // 2 + table + nf2 - 1
 
 
-def _reflection_reps(raw: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Lexicographically smaller of each witness and its reflection, deduplicated."""
-    reps = set()
-    for elems in raw:
-        d = elems[-1]
-        mirrored = tuple(d - x for x in reversed(elems))
-        reps.add(min(elems, mirrored))
-    return sorted(reps)
-
-
 def _search_bits(f: LinearForm, k: int, diameter: int) -> int:
     """The bits search_min checks against SEARCH_BITS_CAP for k-sets within diameter.
 
@@ -821,7 +833,7 @@ def search_min(
     diameter, gcd 1} in lexicographic order, pruning with the
     split-recursion completion bound (every base value) against the best
     value found so far; ties with it are never pruned, so the witness
-    list is the full set of minimizers, deduplicated under reflection.
+    list is the full set of minimizers, one per mirror-image pair.
     The order is fixed, so results and node counts are deterministic.
 
     cb[t] = L(t + 1) - 1, replayed by check_certificate from
@@ -833,14 +845,14 @@ def search_min(
     searched.  Reflection x -> a_{k-1} - x keeps the diameter, the gcd
     and the image size, and maps every other set onto one of these, its
     lexicographically smaller mirror image, which is the witness
-    reported anyway; a pair with equal end gaps is visited twice and
-    deduplicated.  Best values and witness lists are those of the full
-    search.
+    reported; of a pair with equal end gaps the walk reports the smaller
+    member only (_drop_mirrored).  Best values and witness lists are
+    those of the full search, in increasing lexicographic order.
 
     node_budget caps the nodes explored, the root {0} included: the
     search raises BudgetExceeded on node node_budget + 1, so a budget of
     0 always stops; a negative budget is an InputError.  The witness
-    list is capped at WITNESS_BYTES_CAP bytes (_witness_bytes): the
+    list is capped at WITNESS_BYTES_CAP bytes (_witness_limit): the
     kernel raises CapacityExceeded as soon as the list of the best value
     so far outgrows it, even if a lower value found later would have
     replaced that list.  Every call searches: only compute_nf remembers
@@ -855,11 +867,11 @@ def search_min(
         return SearchOutcome(best=1, witnesses=(KSet((0,)),), nodes=1, certificate=cert)
     if f.m == 2:
         u1, u2 = f.coeffs
-        best, raw, nodes = _explore_binary(u1, u2, k, diameter, cb, node_budget)
+        best, wits, nodes = _explore_binary(u1, u2, k, diameter, cb, node_budget)
     else:
-        best, raw, nodes = _explore_general(f.coeffs, k, diameter, cb, node_budget)
-    reps = tuple(KSet(elems) for elems in _reflection_reps(raw))
-    return SearchOutcome(best=best, witnesses=reps, nodes=nodes, certificate=cert)
+        best, wits, nodes = _explore_general(f.coeffs, k, diameter, cb, node_budget)
+    witnesses = tuple(KSet(elems) for elems in wits)
+    return SearchOutcome(best=best, witnesses=witnesses, nodes=nodes, certificate=cert)
 
 
 def compute_nf(

@@ -383,7 +383,7 @@ class TestCliNf:
         assert "budget" in err
 
     def test_witness_cap_exit_3_writes_no_cache_line(self, capsys, tmp_path, monkeypatch):
-        # Every 3-set within diameter 8 minimizes (1): 11 raw witnesses,
+        # Every 3-set within diameter 8 minimizes (1): 11 witnesses,
         # over a cap patched down to 10, so nothing reaches the cache.
         per = engine._witness_bytes(3, 8)
         monkeypatch.setattr(engine, "WITNESS_BYTES_CAP", 10 * per)
@@ -762,6 +762,26 @@ class TestCliCache:
         witnesses = [json.loads(out)["witnesses"] for _, out, _ in answers]
         assert witnesses[0] == witnesses[1] == witnesses[2]
         assert witnesses[0] == record["witnesses"][:64]
+
+    def test_hit_over_the_witness_cap_is_refused(self, tmp_path, capsys, monkeypatch):
+        # (1) at k = 4 within 20 has 530 minimizers.  With the cap patched
+        # down to hold exactly 530 the record is served; one byte less, and
+        # the hit is refused as a fresh run is, with the kernel's message.
+        args = ("nf", "--coeffs", "1", "--k", "4", "--diameter", "20", "--json")
+        path = tmp_path / "c.jsonl"
+        code, stored, _ = run(capsys, *args, "--cache", str(path))
+        assert code == 0 and len(cache.load_records(path)[0]["witnesses"]) == 530
+        before = path.read_bytes()
+        per = engine._witness_bytes(4, 20)
+        monkeypatch.setattr(engine, "WITNESS_BYTES_CAP", 530 * per)
+        assert run(capsys, *args, "--cache", str(path)) == (0, stored, "")
+        monkeypatch.setattr(engine, "WITNESS_BYTES_CAP", 530 * per - 1)
+        need = f"error: 530 witnesses of 4 elements would need {530 * per} bytes"
+        need += f" (cap {530 * per - 1})\n"
+        assert run(capsys, *args, "--cache", str(path)) == (3, "", need)
+        engine.clear_search_memo()
+        assert run(capsys, *args) == (3, "", need)
+        assert path.read_bytes() == before
 
     def test_hit_refuses_a_negative_budget(self, tmp_path, capsys):
         path = str(tmp_path / "c.jsonl")

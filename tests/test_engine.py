@@ -10,11 +10,13 @@ import itertools
 import math
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from nf_snapshot import snapshot_lines
 from oracles import (
     canonical_ksets,
     collision_events,
@@ -237,6 +239,23 @@ class TestSearchMin:
                 # u_total = 1: every k-set has k values, so all tie and none is pruned
                 assert search_min(LinearForm((1,)), k, diameter).nodes == want
 
+    def test_witnesses_increase_and_precede_their_mirror_images(self):
+        # Each kernel reports a mirror pair once, as its lexicographically
+        # smaller member, in the walk's order: the witness list is strictly
+        # increasing, and no witness is larger than its mirror image.
+        forms = [*enumerate_normalized(1, 1), *enumerate_normalized(2, 4)]
+        for f in forms + [*enumerate_normalized(3, 3)]:
+            for k in range(2, 6):
+                cb = [b - 1 for b in check_certificate(f, k, lower_certificate(f, k))]
+                for diameter in (k - 1, k + 2, 2 * k + 3):
+                    outs = [engine._explore_general(f.coeffs, k, diameter, cb, None)]
+                    if f.m == 2:
+                        outs.append(engine._explore_binary(*f.coeffs, k, diameter, cb, None))
+                    for _, wits, _ in outs:
+                        assert all(a < b for a, b in zip(wits, wits[1:])), (f, k, diameter)
+                        for w in wits:
+                            assert w <= tuple(w[-1] - x for x in reversed(w)), (f, w)
+
     def test_k1(self):
         out = search_min(LinearForm((1, 2)), 1, 0)
         assert out.best == 1 and out.witnesses[0].elems == (0,)
@@ -308,7 +327,7 @@ class TestSearchMin:
                 if frame.f_code.co_name == "rec":
                     local = frame.f_locals
                     bits += sum(M.bit_length() for M in local["table"])
-                    bits += sum(G.bit_length() for G in local.get("head", ()))
+                    bits += sum(G.bit_length() for _, G in local.get("head", ()))
                     bits += sum(G.bit_length() for _, G in local.get("tail") or ())
                 frame = frame.f_back
             peak = max(peak, bits)
@@ -647,9 +666,9 @@ class TestCollisionFilter:
     @example(3, 0, 6, 5, "split")
     @example(2, 2, 6, 6, "split")  # (2,4): p = 1, q = 2
     def test_binary_kernel_matches_unfiltered_dfs(self, u1, extra, k, slack, bounds):
-        # Equal and non-coprime coefficients included; raw witness order
-        # and node counts must agree with a search that tests every
-        # candidate's image.
+        # Equal and non-coprime coefficients included; best values and node
+        # counts must agree with a search that tests every candidate's
+        # image, and witnesses with its own deduplicated by reflection.
         u2 = u1 + extra
         diameter = k - 1 + slack
         if bounds == "never":
@@ -657,7 +676,8 @@ class TestCollisionFilter:
         else:
             nf2 = len({0, u1, u2, u1 + u2})
             cb = [b - 1 for b in split_recursion(nf2, None, k)[0]]
-        want = oracle_dfs((u1, u2), k, diameter, cb)
+        best, raw, nodes = oracle_dfs((u1, u2), k, diameter, cb)
+        want = best, reflection_reps(raw), nodes
         assert engine._explore_binary(u1, u2, k, diameter, cb, None) == want
         assert engine._explore_general((u1, u2), k, diameter, cb, None) == want
 
@@ -670,13 +690,15 @@ class TestCollisionFilter:
     @example((1, 1, 1, 1), 5, 4)  # 4 nonzero sums: the inner levels' tail is the constant 1 alone
     def test_general_kernel_matches_unfiltered_dfs(self, coeffs, k, slack):
         # Three- and four-variable forms, so that the head bound's heads
-        # and tails are both non-trivial; raw witness order and node counts
-        # must agree with a search that tests every candidate's image.
+        # and tails are both non-trivial; best values and node counts must
+        # agree with a search that tests every candidate's image, and
+        # witnesses with its own deduplicated by reflection.
         diameter = k - 1 + slack
         m = len(coeffs)
         nf2 = len({sum(c) for r in range(m + 1) for c in itertools.combinations(coeffs, r)})
         cb = [b - 1 for b in split_recursion(nf2, None, k)[0]]
-        want = oracle_dfs(coeffs, k, diameter, cb)
+        best, raw, nodes = oracle_dfs(coeffs, k, diameter, cb)
+        want = best, reflection_reps(raw), nodes
         assert engine._explore_general(coeffs, k, diameter, cb, None) == want
 
     def test_filter_leaves_few_mask_tests(self):
@@ -761,7 +783,7 @@ class TestCollisionFilter:
     def test_head_bound_leaves_few_full_images(self):
         # (2,5,7) at k=5: every candidate gets the head bound, the first
         # bit_count of its level's loop, once a best exists; only these
-        # build the full image and get the exact test, the second (24,202
+        # build the full image and get the exact test, the second (24,123
         # when every candidate built one).  The inner levels and the last
         # one each have a loop; the counts are summed over both.
         calls = collections.Counter()
@@ -780,7 +802,7 @@ class TestCollisionFilter:
         lines = sorted(calls)
         assert len(lines) == 4  # (head, full) in each loop
         heads, fulls = lines[0::2], lines[1::2]
-        assert [sum(calls[line] for line in role) for role in (heads, fulls)] == [24_198, 3_156]
+        assert [sum(calls[line] for line in role) for role in (heads, fulls)] == [24_119, 3_149]
 
     def test_head_bound_never_exceeds_the_image(self):
         # For f(A + {e}) = union over subset sums w of S_w = G_w + (u_total - w)e,
@@ -817,6 +839,14 @@ class TestCollisionFilter:
 
 
 class TestComputeNf:
+    def test_matches_the_frozen_snapshot(self):
+        """Answers, witnesses and node counts on a fixed grid, byte for byte.
+
+        Regenerate with: PYTHONPATH=src python tests/nf_snapshot.py > tests/data/nf_snapshot.jsonl
+        """
+        frozen = (Path(__file__).parent / "data" / "nf_snapshot.jsonl").read_text().splitlines()
+        assert snapshot_lines() == frozen
+
     def test_exact_binary_k3(self):
         res = compute_nf(LinearForm((1, 3)), 3)
         assert res.exact and res.best == 8 and res.lower == 8
@@ -1128,20 +1158,22 @@ class TestComputeMf:
 class TestWitnessCap:
     def test_refuses_the_smallest_diameter_over_the_cap(self, monkeypatch):
         # Every k-set minimizes (1), and no set is pruned, so a search keeps
-        # one raw witness per canonical set whose first gap is at most its
-        # last gap.  With the cap patched down to n witnesses, the largest
-        # diameter under it answers in full and the next one is refused.
-        f, k, n = LinearForm((1,)), 4, 1000
+        # one witness per mirror pair of canonical sets.  With the cap
+        # patched down to n witnesses, the largest diameter under it
+        # answers in full and the next one is refused.  At k = 5 the walk
+        # meets both members of some pairs: 986 sets at D = 16, over n,
+        # for the 883 pairs that fit.
+        f, k, n = LinearForm((1,)), 5, 950
 
-        def raw(diameter):
-            return [s for s in canonical_ksets(k, diameter) if s[1] <= s[-1] - s[-2]]
+        def reps(diameter):
+            return reflection_reps(canonical_ksets(k, diameter))
 
-        top = next(d for d in itertools.count(k - 1) if len(raw(d + 1)) > n)
+        top = next(d for d in itertools.count(k - 1) if len(reps(d + 1)) > n)
         per = engine._witness_bytes(k, top + 1)
         assert per == engine._witness_bytes(k, top)
         monkeypatch.setattr(engine, "WITNESS_BYTES_CAP", n * per)
         res = compute_nf(f, k, diameter=top)
-        assert [w.elems for w in res.witnesses] == reflection_reps(raw(top))
+        assert [w.elems for w in res.witnesses] == reps(top)
         with pytest.raises(CapacityExceeded) as refused:
             compute_nf(f, k, diameter=top + 1)
         assert str(refused.value) == (
@@ -1162,8 +1194,8 @@ class TestWitnessCap:
             search_min(f, 3, 20)
 
     def test_default_cap_on_the_form_1_at_k6(self):
-        # 2^26 bytes hold 262,144 witnesses of 6 elements: (1) keeps 75,661
-        # raw witnesses at D = 30 and is refused on the way to D = 40's.
+        # 2^26 bytes hold 262,144 witnesses of 6 elements: (1) keeps 70,022
+        # at D = 30 and is refused on the way to D = 40's 321,572.
         f = LinearForm((1,))
         assert len(compute_nf(f, 6, diameter=30).witnesses) == 70_022
         with pytest.raises(CapacityExceeded, match="^262145 witnesses of 6 elements"):
