@@ -45,10 +45,12 @@ element has a loop of its own.  Each frame's whole candidate range
 counts as nodes, once.
 
 Spectra (explorer.spectrum) walk the same sets with no bound and no
-budget (_census_general): every set of gcd 1 the search would report,
-each image nf2 - 1 shift-ORs from the masks its parent kept.  Where that
-costs more than rebuilding each image by the dilate chain, spectra keep
-the chain (explorer._census_pays).
+budget: every set of gcd 1 the search would report, each image from
+the masks its parent kept.  For two-variable forms those are the binary
+kernel's D1, D2 and M, and an image is 2 shift-ORs (_census_binary);
+for any other form, nf2 - 1 shift-ORs (_census_general).  Where the
+latter costs more than rebuilding each image by the dilate chain,
+spectra keep the chain (explorer._census_pays).
 
 When the certified lower bound meets the searched minimum the value is
 exact; otherwise the honest answer is the bracket [lower, best].
@@ -191,10 +193,10 @@ def _witness_bytes(k: int, diameter: int) -> int:
 def _witness_limit(k: int, diameter: int) -> int:
     """The most witnesses of k elements within diameter that WITNESS_BYTES_CAP holds.
 
-    Both kernels refuse a search whose list outgrows it, and cli.cmd_nf
-    a cache hit whose record holds more.  A hit cannot see that the
-    kernel also refuses a run whose list outgrew it at an earlier,
-    higher best.
+    Both kernels refuse a search whose list outgrows it, compute_nf a
+    store hit that holds more, and cli.cmd_nf such a cache hit.  A hit
+    cannot see that the kernel also refuses a run whose list outgrew it
+    at an earlier, higher best.
     """
     return WITNESS_BYTES_CAP // _witness_bytes(k, diameter)
 
@@ -253,10 +255,16 @@ def _drop_mirrored(elems: tuple[int, ...], cands: range | list[int]) -> range | 
     mirror image the walk also meets, earlier or pruned at the same image
     size: dropping the set changes no best value, pruning or node count.
     Below 5 elements, equal end gaps make a set its own mirror image.
+    Such a set A + {e}, A = {a_0 < ... < a_(n-1)}, and its mirror image,
+    whose i-th element is e - a_(n-i), share their first two elements;
+    they are compared from the third on, and their second-to-last
+    elements are equal by the end gaps.
     """
     if len(elems) > 3 and cands and cands[0] - elems[-1] == elems[1]:
-        first = elems + (cands[0],)
-        if tuple(map(cands[0].__sub__, reversed(first))) < first:
+        e, i = cands[0], 2
+        while i < len(elems) - 1 and e - elems[-i] == elems[i]:
+            i += 1
+        if e - elems[-i] < elems[i]:
             return cands[1:]
     return cands
 
@@ -719,6 +727,49 @@ def _census_general(coeffs: tuple[int, ...], k: int, diameter: int) -> dict[int,
     return {size: n for size, n in enumerate(counts) if n}
 
 
+def _census_binary(u1: int, u2: int, k: int, diameter: int) -> dict[int, int]:
+    """_census_general for the form u1*x + u2*y, on _explore_binary's masks.
+
+    The same sets, walk and mirror rule (_root_frame, _child_bounds,
+    _drop_mirrored, the running gcd), but a frame keeps only D1 = {u1*a},
+    D2 = {u2*a} and M = f(A), so a child costs 3 shift-ORs.  A frame of
+    second-to-last elements counts its children's last elements in its
+    own loop: the image of A + {x} is M | (D2 << u1*x) | (D1 << u2*x) and
+    the value u_total*x, which exceeds all of them, so each set costs 2
+    shift-ORs and a bit count.  Of the sets {0, e} only {0, 1} has gcd 1.
+    """
+    if k == 2:
+        return {len({0, u1, u2, u1 + u2}): 1}
+    gcd = math.gcd
+    # By image size less the top value: at most the other k^2 - 1 pairs (a, b).
+    counts = [0] * (k * k)
+
+    def rec(elems: tuple[int, ...], g: int, D1: int, D2: int, M: int, t: int, cands: range) -> None:
+        root = len(elems) == 1
+        if not root:
+            step, stop = _child_bounds(elems[1], t, diameter)
+        for e in cands:
+            if root:
+                step, stop = _child_bounds(e, t, diameter)
+            D1e = D1 | (1 << u1 * e)
+            D2e = D2 | (1 << u2 * e)
+            Me = M | (D2 << u1 * e) | (D1e << u2 * e)
+            ge = g if g == 1 else gcd(g, e)
+            if t > 2:
+                rec(elems + (e,), ge, D1e, D2e, Me, t - 1, range(e + step, stop))
+                continue
+            for x in _drop_mirrored(elems + (e,), range(e + step, stop)):
+                if ge != 1 and gcd(ge, x) != 1:
+                    continue
+                counts[(Me | (D2e << u1 * x) | (D1e << u2 * x)).bit_count()] += 1
+
+    try:
+        rec((0,), 0, 1, 1, 1, k - 1, _root_frame(k, diameter, None)[0])
+    finally:
+        del rec  # its closure cell holds rec itself: free the cycle now
+    return {size + 1: n for size, n in enumerate(counts) if n}
+
+
 def _frame_layout(
     coeffs: tuple[int, ...],
 ) -> tuple[list[tuple[tuple[int, int], ...]], list[tuple[int, list[int]]]]:
@@ -772,24 +823,29 @@ def _search_bits(f: LinearForm, k: int, diameter: int) -> int:
 
     The image of a set spans at most u_total * diameter + 1 bits; for
     k = 1 it is the one mask counted.  The binary kernel keeps D1, D2
-    and M (2 * u_total * diameter + 3 bits) per set size: the root {0}'s
-    are one bit each, then k - 1 frames of sets within the diameter.  Its
-    collision filter packs fields at positions up to the diameter, at
-    most F = _filter_width(k) * (diameter + 1) bits per value: each of
-    the k - 1 frames keeps Apoly, Ppoly and Qpoly (F each) and the
-    product N of the child it filtered last (positions up to twice the
-    diameter, 2F); the constants
-    ones and high take F each, and the one frame filtering at a time
-    shifts N and adds to it (2F) to get its hits (F).  That is 5k * F
-    bits.  The general kernel keeps what _general_bits counts.
+    and M (_binary_bits), and its collision filter packs fields at
+    positions up to the diameter, at most F = _filter_width(k) *
+    (diameter + 1) bits per value: each of the k - 1 frames keeps Apoly,
+    Ppoly and Qpoly (F each) and the product N of the child it filtered
+    last (positions up to twice the diameter, 2F); the constants ones and
+    high take F each, and the one frame filtering at a time shifts N and
+    adds to it (2F) to get its hits (F).  That is 5k * F bits.  The
+    general kernel keeps what _general_bits counts.
     """
-    image_bits = f.u_total * diameter + 1
     if k == 1:
-        return image_bits
+        return f.u_total * diameter + 1
     if f.m == 2:
-        fields = _filter_width(k) * (diameter + 1)
-        return 3 + (k - 1) * (2 * image_bits + 1) + 5 * k * fields
+        return _binary_bits(f, k, diameter) + 5 * k * _filter_width(k) * (diameter + 1)
     return _general_bits(f, k, diameter)
+
+
+def _binary_bits(f: LinearForm, k: int, diameter: int) -> int:
+    """Bits of D1, D2 and M that _explore_binary (or _census_binary) keeps for k-sets, k >= 2.
+
+    2 * u_total * diameter + 3 bits per set size: the root {0}'s are one
+    bit each, then k - 1 frames of sets within the diameter.
+    """
+    return 3 + (k - 1) * (2 * (f.u_total * diameter + 1) + 1)
 
 
 def _general_bits(f: LinearForm, k: int, diameter: int) -> int:
@@ -896,7 +952,10 @@ def compute_nf(
     results keyed by (coeffs, k, diameter), all that changes the
     outcome.  A repeat runs no search and builds no certificate, and gets
     the same result object, node count included: over node_budget it
-    raises as the search would.  clear_search_memo() forgets every result.
+    raises as the search would, and so it does when it holds more
+    witnesses than WITNESS_BYTES_CAP now allows (_witness_limit), as
+    cli.cmd_nf does for a cache hit.  clear_search_memo() forgets every
+    result.
     """
     diameter = search_diameter(f, k, diameter)
     _check_search(f, k, diameter, node_budget)
@@ -926,6 +985,8 @@ def compute_nf(
             _search_memo[key] = res
     elif node_budget is not None and res.nodes_explored > node_budget:
         raise _budget_exceeded(node_budget)
+    elif len(res.witnesses) > _witness_limit(k, diameter):
+        raise _witnesses_exceeded(k, diameter)
     return res
 
 

@@ -29,6 +29,8 @@ from typing import Iterable, Iterator
 from .engine import (
     SEARCH_BITS_CAP,
     ExtremalResult,
+    _binary_bits,
+    _census_binary,
     _census_general,
     _check_diameter,
     _general_bits,
@@ -37,7 +39,7 @@ from .engine import (
     exact_nf2,
     search_diameter,
 )
-from .errors import BudgetExceeded, InputError
+from .errors import BudgetExceeded, CapacityExceeded, InputError
 from .forms import LinearForm, enumerate_normalized, is_complete
 from .sets import _shown, image_mask, is_arithmetic_progression
 from .theory import _run, complete_formula
@@ -128,15 +130,16 @@ class ScanFinding:
 
 
 def _census_pays(f: LinearForm, k: int, D: int, sets: int) -> bool:
-    """Whether spectrum counts (f, k, D) by the census rather than the chain loop.
+    """Whether spectrum counts (f, k, D) by the general census rather than the chain loop.
 
-    Per canonical set, in shift-ORs: the census builds an image in
-    nf2 - 1, and each frame of last elements, about (D - k + 2)/(k - 1)
-    sets, first extends a table of t = prod(c + 1) masks in s = t * sum
-    c/(c + 1) steps and ORs it into groups, c running over the
-    coefficients' multiplicities; the chain loop builds an image in m*k,
-    and its tuple, gcd and mirror work per candidate costs about 8 more.
-    The census is taken when
+    spectrum asks only for forms that _census_binary does not take: m != 2,
+    or two-variable masks over SEARCH_BITS_CAP.  Per canonical set, in
+    shift-ORs: the census builds an image in nf2 - 1, and each frame of
+    last elements, about (D - k + 2)/(k - 1) sets, first extends a table
+    of t = prod(c + 1) masks in s = t * sum c/(c + 1) steps and ORs it
+    into groups, c running over the coefficients' multiplicities; the
+    chain loop builds an image in m*k, and its tuple, gcd and mirror work
+    per candidate costs about 8 more.  The census is taken when
     nf2 - 1 + 2(s + t)(k - 1)/(D - k + 2) < m*k + 8, for k >= 3 and at
     least CENSUS_MIN_SETS candidate sets, and only if its masks, counted
     as the general search's (_general_bits), fit SEARCH_BITS_CAP.  The
@@ -158,27 +161,34 @@ def spectrum(f: LinearForm, k: int, diameter: int | None = None) -> SpectrumRepo
 
     Counts every canonical set (gcd 1) once per reflection pair, so the
     candidate count C(D, k-1) is checked against SPECTRUM_BUDGET first.
-    Two loops count the same sets.  The census (engine._census_general)
-    visits only the sets whose first gap is at most their last gap, as
-    the searches do, skips those of gcd > 1 by a running gcd, and gets
-    each image in nf2 - 1 shift-ORs from masks its parent kept; a set
-    whose end gaps are equal is kept unless its mirror image is
-    lexicographically smaller.  The chain loop walks all C(D, k-1)
-    candidates, compares each with its mirror image and builds the
-    image of each one it keeps from nothing, m*k shift-ORs (image_mask).
+    Three loops count the same sets.  The two censuses visit only the
+    sets whose first gap is at most their last gap, as the searches do,
+    skip those of gcd > 1 by a running gcd, and keep a set whose end
+    gaps are equal unless its mirror image is lexicographically smaller.
+    Each gets an image from masks its parent kept: engine._census_binary
+    takes every two-variable form whose masks (_binary_bits) fit
+    SEARCH_BITS_CAP, at 2 shift-ORs per set; engine._census_general
+    takes the others, at nf2 - 1 shift-ORs per set.  The chain loop
+    walks all C(D, k-1) candidates, compares each with its mirror image
+    and builds the image of each one it keeps from nothing, m*k
+    shift-ORs (image_mask).  It refuses, before the first set, a
+    diameter at which one image would span more than SEARCH_BITS_CAP
+    bits (u_total * D + 1).
 
-    _census_pays picks the loop from the form, k and D.  The chain loop
-    keeps forms with many subset sums, k = 2 (one set of gcd 1, so one
-    image), fewer than CENSUS_MIN_SETS candidate sets (laying out the
-    census's frames costs more than it saves), and small diameters with
-    large mask tables, whose frames hold few sets each.  Timed against
-    the chain loop alone, the two interleaved in one process (2 vCPUs,
+    For every other form _census_pays picks between the general census
+    and the chain loop from the form, k and D.  The chain loop keeps
+    forms with many subset sums, k = 2 (one set of gcd 1, so one image),
+    fewer than CENSUS_MIN_SETS candidate sets (laying out the census's
+    frames costs more than it saves), and small diameters with large
+    mask tables, whose frames hold few sets each.  Timed against the
+    chain loop alone, the two interleaved in one process (2 vCPUs,
     CPython 3.11): of 2,483 instances (m <= 7, k = 2..8, six diameters
     each, up to 20,000 candidate sets) the rule gave the census 826,
-    each 0.19x to 0.91x the chain loop's time.  The census everywhere
-    would be up to 10x slower:
-    (1,...,7) at k = 7 and D = 11 23 ms against 2.3, (1,...,10) at k = 3
-    67 ms against 14.
+    each 0.19x to 0.91x the chain loop's time.  Those instances held
+    two-variable forms too, which _census_binary now takes, so the
+    timing holds for the other forms only.  The general census
+    everywhere would be up to 10x slower: (1,...,7) at k = 7 and D = 11
+    23 ms against 2.3, (1,...,10) at k = 3 67 ms against 14.
     """
     if k < 1:
         raise InputError(f"need k >= 1, got {k}")
@@ -191,9 +201,14 @@ def spectrum(f: LinearForm, k: int, diameter: int | None = None) -> SpectrumRepo
         )
     if k == 1:
         counts = {1: 1}
+    elif f.m == 2 and _binary_bits(f, k, D) <= SEARCH_BITS_CAP:
+        counts = _census_binary(*f.coeffs, k, D)
     elif _census_pays(f, k, D, sets):
         counts = _census_general(f.coeffs, k, D)
     else:
+        bits = f.u_total * D + 1
+        if bits > SEARCH_BITS_CAP:
+            raise CapacityExceeded(f"one image would span {bits} bits (cap {SEARCH_BITS_CAP})")
         counts = Counter()
         for rest in combinations(range(1, D + 1), k - 1):
             elems = (0,) + rest

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from oracles import random_form_coeffs
 import linforms
-from linforms import __version__, cache, engine
+from linforms import __version__, cache, engine, explorer
 from linforms.cli import main
 from linforms.engine import compute_nf
 from linforms.forms import LinearForm, enumerate_normalized
@@ -496,6 +496,13 @@ class TestCliMinimizersSpectrum:
         obj = json.loads(out)
         assert obj["values"] == [8, 9]
         assert obj["is_interval"] is True
+
+    def test_spectrum_image_over_the_cap_exit_3(self, capsys, monkeypatch):
+        # One image of (1,3) spans 4D + 1 bits: D = 10 fits a cap of 41, D = 11 does not.
+        monkeypatch.setattr(explorer, "SEARCH_BITS_CAP", 41)
+        argv = ["spectrum", "--coeffs", "1,3", "--k", "4", "--json", "--diameter"]
+        assert run(capsys, *argv, "10")[0] == 0
+        assert run(capsys, *argv, "11") == (3, "", "error: one image would span 45 bits (cap 41)\n")
 
 
 class TestCliVerify:

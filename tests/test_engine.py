@@ -207,6 +207,14 @@ class TestSearchMin:
         assert [w.elems for w in out.witnesses] == [(0, 1, 3, 4)]
         assert out.nodes == 161
 
+    def test_mirror_pairs_at_seven_elements(self):
+        # Every set minimizes (1), so the witnesses are one set per mirror
+        # pair; from 7 elements on, equal end gaps and equal second gaps
+        # leave the third gaps to decide which member comes first.
+        for d in (10, 12):
+            out = search_min(LinearForm((1,)), 7, d)
+            assert [w.elems for w in out.witnesses] == reflection_reps(canonical_ksets(7, d))
+
     def test_frozen_progression_case(self):
         out = search_min(LinearForm((1, 2)), 4, 6)
         assert out.best == 10
@@ -456,8 +464,8 @@ class TestSearchMin:
         assert run(engine._explore_general, (u1, u2)) == run(engine._explore_binary, u1, u2)
 
     def test_searches_leave_no_reference_cycles(self):
-        # Each kernel's nested rec refers to itself, as does the spectrum
-        # census's; each breaks that cycle on return or on a budget stop,
+        # Each kernel's nested rec refers to itself, as do the spectrum
+        # censuses'; each breaks that cycle on return or on a budget stop,
         # so the collector finds nothing.
         def stop(coeffs, k, budget):
             try:
@@ -470,8 +478,9 @@ class TestSearchMin:
             lambda: search_min(LinearForm((1, 2, 3)), 4, 12),
             lambda: stop((1, 3), 5, 500),
             lambda: stop((1, 2, 3), 4, 5),
-            lambda: explorer.spectrum(LinearForm((1, 3)), 5),  # the census loop
-            lambda: explorer.spectrum(LinearForm((1, 2, 3)), 4, 12),
+            lambda: explorer.spectrum(LinearForm((1, 3)), 5),  # the binary census
+            lambda: explorer.spectrum(LinearForm((1, 2, 3)), 4),  # the general census
+            lambda: explorer.spectrum(LinearForm((1, 2, 3)), 4, 12),  # the chain loop
         ]
         for run in runs:
             run()  # warm-up
@@ -1192,6 +1201,19 @@ class TestWitnessCap:
         need = f"^2 witnesses of 3 elements would need {2 * per} bytes"
         with pytest.raises(CapacityExceeded, match=need):
             search_min(f, 3, 20)
+
+    def test_store_hit_is_refused_as_a_fresh_run(self, monkeypatch):
+        # (1) keeps 530 witnesses at k = 4 and D = 20.  With room for 10,
+        # the stored result is refused with the fresh run's message.
+        f, k, d = LinearForm((1,)), 4, 20
+        assert len(compute_nf(f, k, diameter=d).witnesses) == 530
+        monkeypatch.setattr(engine, "WITNESS_BYTES_CAP", 10 * engine._witness_bytes(k, d))
+        need = "11 witnesses of 4 elements would need 2464 bytes (cap 2240)"
+        for _ in range(2):  # the hit, then a fresh run
+            with pytest.raises(CapacityExceeded) as refused:
+                compute_nf(f, k, diameter=d)
+            assert str(refused.value) == need
+            clear_search_memo()
 
     def test_default_cap_on_the_form_1_at_k6(self):
         # 2^26 bytes hold 262,144 witnesses of 6 elements: (1) keeps 70,022

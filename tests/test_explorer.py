@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from oracles import canonical_ksets, oracle_census, reflection_reps
+from spectrum_snapshot import GRID
+from spectrum_snapshot import snapshot_lines as spectrum_lines
 from linforms import engine, explorer
 from linforms.engine import compute_nf
-from linforms.errors import BudgetExceeded, DiameterTooSmall, InputError
+from linforms.errors import BudgetExceeded, CapacityExceeded, DiameterTooSmall, InputError
 from linforms.explorer import (
     STATUS_CANDIDATE,
     STATUS_CONSISTENT,
@@ -56,17 +59,25 @@ class TestSpectrum:
         assert rep.census == oracle_census(f.coeffs, 3, 7)
 
     @staticmethod
-    def censuses(monkeypatch, cases) -> list[bool]:
-        """Check each (coeffs, k, diameter)'s census with the oracle; whether the census loop ran."""
+    def censuses(monkeypatch, cases) -> list[str | None]:
+        """Check each (coeffs, k, diameter)'s census with the oracle; which loop counted it.
+
+        "binary" is engine._census_binary, "general" engine._census_general
+        and "chain" spectrum's own loop; None is k = 1, which needs none.
+        """
         ran = []
 
-        def counted(*args):
-            ran[-1] = True
-            return engine._census_general(*args)
+        def counted(loop, census):
+            def run(*args):
+                ran[-1] = loop
+                return census(*args)
 
-        monkeypatch.setattr(explorer, "_census_general", counted)
+            return run
+
+        monkeypatch.setattr(explorer, "_census_binary", counted("binary", engine._census_binary))
+        monkeypatch.setattr(explorer, "_census_general", counted("general", engine._census_general))
         for coeffs, k, diameter in cases:
-            ran.append(False)
+            ran.append("chain" if k > 1 else None)
             rep = spectrum(LinearForm(coeffs), k, diameter)
             assert rep.census == oracle_census(coeffs, k, rep.diameter), (coeffs, k, diameter)
         return ran
@@ -74,8 +85,9 @@ class TestSpectrum:
     def test_census_matches_oracle_on_small_forms(self, monkeypatch):
         # Every normalized form of m <= 3 and coefficients <= 4 at k = 1..5,
         # at the default diameter where the oracle's k^m tuples per set stay
-        # few, and at two explicit ones.  Run once more with the census for
-        # every k >= 2, so tiny sets, with equal end gaps and with gcd > 1,
+        # few, and at two explicit ones.  Every two-variable case takes the
+        # binary census.  Run once more with the general census for every
+        # other k >= 2, so tiny sets, with equal end gaps and with gcd > 1,
         # reach it too.
         cases = [
             (f.coeffs, k, d)
@@ -85,16 +97,21 @@ class TestSpectrum:
             for d in (None, k, 2 * k + 2)
             if d is not None or math.comb(f.u_total * (k - 1), k - 1) * k**m <= 100_000
         ]
+        binary = ["binary" if len(c) == 2 and k > 1 else None for c, k, _ in cases]
         shipped = self.censuses(monkeypatch, cases)
+        assert [loop if loop == "binary" else None for loop in shipped] == binary
         monkeypatch.setattr(explorer, "_census_pays", lambda *args: True)
         everywhere = self.censuses(monkeypatch, cases)
-        assert 0 < sum(shipped) < sum(everywhere) == sum(k > 1 for _, k, _ in cases)
+        assert [loop if loop == "binary" else None for loop in everywhere] == binary
+        general = sum(k > 1 for _, k, _ in cases) - binary.count("binary")
+        assert 0 < shipped.count("general") < everywhere.count("general") == general
 
     def test_census_matches_oracle_on_both_sides_of_the_rule(self, monkeypatch):
-        # The chain loop keeps (1,2) at k = 3 (15 candidate sets) and at
-        # k = 2; (1,2,4,8,16), with too many subset sums for the census;
-        # and (1,2,4,8), with too large a table for frames of few sets at
-        # D = 13.  (1,3,9,27) at k = 3 takes the census.
+        # Every two-variable form takes the binary census, even at k = 2 or
+        # with few candidate sets.  The chain loop keeps (1,2,4,8,16), with
+        # too many subset sums for the general census, and (1,2,4,8), with
+        # too large a table for frames of few sets at D = 13.  (1,3,9,27)
+        # at k = 3 takes the general census.
         cases = [
             ((1, 2), 3, None),
             ((1, 2), 2, 300),
@@ -102,12 +119,54 @@ class TestSpectrum:
             ((1, 2, 4, 8), 4, 13),
             ((1, 3, 9, 27), 3, None),
         ]
-        assert self.censuses(monkeypatch, cases) == [False, False, False, False, True]
-        monkeypatch.setattr(explorer, "SEARCH_BITS_CAP", 0)  # masks past the cap keep the chain
-        assert self.censuses(monkeypatch, cases[-1:]) == [False]
+        assert self.censuses(monkeypatch, cases) == ["binary", "binary", "chain", "chain", "general"]
+        # Masks past the cap keep the chain, whose one image, u_total * D + 1
+        # bits, still fits.
+        monkeypatch.setattr(explorer, "SEARCH_BITS_CAP", 40 * 80 + 1)
+        assert self.censuses(monkeypatch, cases[-1:]) == ["chain"]
+
+    def test_binary_census_matches_oracle_on_the_snapshot_grid(self, monkeypatch):
+        # Every normalized two-variable form with coefficients <= 6 at
+        # k = 2..6 and D = k - 1, k, 2k + 2 and the default: prefixes of
+        # gcd > 1, such as {0, 2, 4}, and sets with equal end gaps among them.
+        cases = [case for case in GRID if len(case[0]) == 2]
+        assert len(cases) == 225
+        assert self.censuses(monkeypatch, cases) == ["binary"] * len(cases)
+
+    def test_censuses_match_oracle_at_seven_elements(self, monkeypatch):
+        # From 7 elements on, a set with equal end gaps and equal second
+        # gaps leaves its third gaps to decide which mirror image comes first.
+        cases = [((1, 3), 7, 12), ((1, 2), 7, 13), ((1, 1, 2), 7, 12)]
+        assert self.censuses(monkeypatch, cases) == ["binary", "binary", "general"]
+
+    def test_chain_takes_masks_over_the_cap_and_refuses_an_image_over_it(self, monkeypatch):
+        # (1,999999) at D = 50 would build images of 5 * 10^7 bits.  (1,3) at
+        # k = 4 keeps 24D + 12 bits of binary census masks, and one image
+        # spans 4D + 1: with the cap at 41, D = 10 takes the chain, and
+        # D = 11 is refused before the first set.
+        need = r"^one image would span 50000001 bits \(cap 10000000\)$"
+        with pytest.raises(CapacityExceeded, match=need):
+            spectrum(LinearForm((1, 999999)), 3, 50)
+        f = LinearForm((1, 3))
+        assert engine._binary_bits(f, 4, 10) == 252
+        monkeypatch.setattr(explorer, "SEARCH_BITS_CAP", 41)
+        assert self.censuses(monkeypatch, [(f.coeffs, 4, 10)]) == ["chain"]
+        monkeypatch.setattr(explorer, "image_mask", None)  # no set is reached
+        with pytest.raises(CapacityExceeded, match=r"^one image would span 45 bits \(cap 41\)$"):
+            spectrum(f, 4, 11)
+
+    def test_matches_the_frozen_snapshot(self):
+        """spectrum(...).to_json() on the grid of tests/spectrum_snapshot.py, byte for byte.
+
+        Regenerate with:
+        PYTHONPATH=src python tests/spectrum_snapshot.py > tests/data/spectrum_snapshot.jsonl
+        """
+        frozen = (Path(__file__).parent / "data" / "spectrum_snapshot.jsonl").read_text()
+        assert spectrum_lines() == frozen.splitlines()
 
     def test_census_matches_oracle_with_a_repeated_coefficient(self, monkeypatch):
-        assert self.censuses(monkeypatch, [((1, 1, 2), 5, None), ((1, 1, 2), 4, 20)]) == [True, True]
+        cases = [((1, 1, 2), 5, None), ((1, 1, 2), 4, 20)]
+        assert self.censuses(monkeypatch, cases) == ["general", "general"]
 
     def test_k1(self):
         rep = spectrum(LinearForm((1, 2)), 1)
